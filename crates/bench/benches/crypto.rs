@@ -8,6 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use flicker_crypto::aes::Aes128;
 use flicker_crypto::hmac::Hmac;
 use flicker_crypto::md5crypt::md5crypt;
+use flicker_crypto::montgomery::MontgomeryCtx;
 use flicker_crypto::mpint::Mpint;
 use flicker_crypto::pkcs1;
 use flicker_crypto::rng::XorShiftRng;
@@ -73,6 +74,16 @@ fn bench_rsa(c: &mut Criterion) {
         let mut rng = XorShiftRng::new(99);
         b.iter(|| RsaPrivateKey::generate(512, &mut rng));
     });
+    // The size PALs generate (Figure 9a).
+    c.bench_function("rsa1024/keygen", |b| {
+        let mut rng = XorShiftRng::new(99);
+        b.iter(|| RsaPrivateKey::generate(1024, &mut rng));
+    });
+    // The TPM's default key size.
+    let (key2048, _) = RsaPrivateKey::generate(2048, &mut XorShiftRng::new(2));
+    c.bench_function("rsa2048/sign", |b| {
+        b.iter(|| pkcs1::sign(&key2048, b"certificate").unwrap());
+    });
 }
 
 fn bench_mpint(c: &mut Criterion) {
@@ -92,6 +103,10 @@ fn bench_mpint(c: &mut Criterion) {
     let d = Mpint::from_hex(&"7".repeat(128)).unwrap();
     c.bench_function("mpint/div_rem_1024_by_512", |b| {
         b.iter(|| a.div_rem(&d));
+    });
+    // Per-modulus set-up that every uncached `Mpint::mod_exp` pays.
+    c.bench_function("mpint/montgomery_ctx_new_1024", |b| {
+        b.iter(|| MontgomeryCtx::new(&m));
     });
 }
 

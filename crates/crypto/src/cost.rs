@@ -27,8 +27,16 @@ use std::cell::Cell;
 /// counts, and so on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Primitive {
-    /// One Montgomery multiplication (`MontgomeryCtx::mont_mul`), the
-    /// inner loop of every modular exponentiation.
+    /// One Montgomery multiplication or squaring (`MontgomeryCtx::cios`),
+    /// the inner loop of every modular exponentiation.
+    ///
+    /// An exponentiation by an `L`-bit exponent (`L ≥ 1`) with window
+    /// width `w` (chosen from `L`: 2 for the 17-bit public exponent, 5 for
+    /// 512-bit, 6 for 1024-bit and longer exponents) costs exactly
+    /// `2^w + (⌈L/w⌉ − 1)·(w + 1)` of these, whatever the exponent's bits:
+    /// `2^w − 2` to fill the table, `w` squarings and one multiply for
+    /// each window below the top one, and one each for the conversions
+    /// into and out of Montgomery form. Building a context costs one more.
     ModMul,
     /// One SHA-1 compression-function invocation (64-byte block).
     Sha1Compress,
@@ -235,9 +243,9 @@ mod tests {
         let before = snapshot();
         ctx.mod_exp(&base, &exp);
         let delta = snapshot().since(&before);
-        // Square-and-multiply: ~2 mont_muls per exponent bit plus the
-        // domain conversions. e = 65537 has 17 bits, 2 set.
-        assert!(delta.modmul >= 17, "got {}", delta.modmul);
+        // e = 65537 has 17 bits: window width 2, nine windows, so
+        // 2^2 + 8·3 = 28 Montgomery multiplications.
+        assert_eq!(delta.modmul, 28);
     }
 
     #[test]

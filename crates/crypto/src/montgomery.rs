@@ -5,20 +5,34 @@
 //! variant — Koç, Acar, Kaliski, "Analyzing and Comparing Montgomery
 //! Multiplication Algorithms") replaces every reduction with shifts and
 //! adds. [`crate::mpint::Mpint::mod_exp`] switches to this path for odd
-//! moduli (every RSA modulus and prime is odd); the `mont_vs_division`
-//! Criterion bench quantifies the win.
+//! moduli (every RSA modulus and prime is odd); the
+//! `mpint/modexp_1024_{montgomery,division}` Criterion benches quantify
+//! the win.
+//!
+//! A [`MontgomeryCtx`] is built once per modulus and reused: the RSA keys
+//! keep one per prime (and one for the public modulus, built on first
+//! use), and Miller–Rabin keeps one per candidate across all its rounds.
+//! Exponentiation runs a fixed window over the exponent, so the sequence
+//! of multiplications depends only on the exponent's bit length, never on
+//! its bits.
 
 use crate::mpint::Mpint;
 
 /// Precomputed context for arithmetic modulo an odd `n`.
+///
+/// Deliberately not `Debug`: a context for an RSA prime holds the prime.
+#[derive(Clone)]
 pub struct MontgomeryCtx {
-    /// The modulus (odd, > 1), as little-endian limbs.
-    n: Vec<u64>,
+    /// The modulus (odd, > 1); its limbs are the `k` limbs every
+    /// Montgomery-form value is padded to.
+    modulus: Mpint,
     /// `-n⁻¹ mod 2⁶⁴`.
     n_prime: u64,
-    /// `R² mod n` where `R = 2^(64·len)`, for conversion into Montgomery
+    /// `R² mod n` where `R = 2^(64·k)`, for conversion into Montgomery
     /// form.
     r2: Vec<u64>,
+    /// `R mod n`: the number 1 in Montgomery form.
+    one: Vec<u64>,
 }
 
 /// Computes `-n⁻¹ mod 2⁶⁴` for odd `n` via Newton iteration (5 rounds
@@ -33,14 +47,52 @@ fn neg_inv_u64(n0: u64) -> u64 {
     inv.wrapping_neg()
 }
 
-/// Compares little-endian limb slices of equal length.
-fn geq(a: &[u64], b: &[u64]) -> bool {
-    for i in (0..a.len()).rev() {
-        if a[i] != b[i] {
-            return a[i] > b[i];
+/// Window width for an exponent of `bits` bits: the width that minimizes
+/// the multiplication count `2^w + (⌈bits/w⌉ − 1)·(w + 1)` at the RSA
+/// sizes (17-bit public exponent, 512/1024/2048-bit private and
+/// Miller–Rabin exponents), capped at 6 so the table stays at 64 entries.
+pub(crate) fn window_bits(bits: usize) -> usize {
+    match bits {
+        0..=3 => 1,
+        4..=20 => 2,
+        21..=63 => 3,
+        64..=244 => 4,
+        245..=815 => 5,
+        _ => 6,
+    }
+}
+
+/// Bits `[lo, lo + w)` of the little-endian limbs `e` (zero past the end).
+fn window_value(e: &[u64], lo: usize, w: usize) -> usize {
+    let (limb, off) = (lo / 64, lo % 64);
+    let mut v = e.get(limb).map_or(0, |&l| l >> off);
+    if off + w > 64 {
+        v |= e.get(limb + 1).map_or(0, |&l| l << (64 - off));
+    }
+    (v & ((1 << w) - 1)) as usize
+}
+
+/// Copies table entry `idx` (of `k` limbs each) into `out` by reading every
+/// entry and keeping one through a mask, so the memory access pattern does
+/// not depend on `idx`.
+fn select_entry(table: &[u64], idx: usize, out: &mut [u64]) {
+    out.fill(0);
+    for (i, entry) in table.chunks_exact(out.len()).enumerate() {
+        let diff = (i ^ idx) as u64;
+        // All ones iff diff == 0: (diff | -diff) has its top bit set
+        // exactly when diff != 0.
+        let mask = ((diff | diff.wrapping_neg()) >> 63).wrapping_sub(1);
+        for (o, &v) in out.iter_mut().zip(entry) {
+            *o |= v & mask;
         }
     }
-    true
+}
+
+/// Copies `v` into `dst`, zero-padding the high limbs.
+fn load(dst: &mut [u64], v: &Mpint) {
+    let limbs = v.limbs();
+    dst[..limbs.len()].copy_from_slice(limbs);
+    dst[limbs.len()..].fill(0);
 }
 
 impl MontgomeryCtx {
@@ -50,106 +102,143 @@ impl MontgomeryCtx {
         if modulus.is_even() || modulus.is_one() || modulus.is_zero() {
             return None;
         }
-        let n = modulus.limbs_le();
-        let n_prime = neg_inv_u64(n[0]);
-        // R² mod n by repeated doubling: start from R mod n (= 2^(64k) mod
-        // n) and double 64k times.
-        let k = n.len();
-        let r_mod_n = Mpint::one().shl(64 * k).rem(modulus);
-        let mut r2 = r_mod_n;
-        for _ in 0..64 * k {
-            r2 = r2.add(&r2).rem(modulus);
-        }
-        Some(MontgomeryCtx {
-            n,
-            n_prime,
-            r2: Self::pad(&r2, k),
-        })
+        let k = modulus.limbs().len();
+        let mut r2 = vec![0u64; k];
+        load(&mut r2, &Mpint::one().shl(128 * k).rem(modulus));
+        let mut ctx = MontgomeryCtx {
+            modulus: modulus.clone(),
+            n_prime: neg_inv_u64(modulus.limbs()[0]),
+            r2,
+            one: vec![0u64; k],
+        };
+        // R mod n = montmul(R², 1).
+        let mut one = vec![0u64; k];
+        one[0] = 1;
+        ctx.mont_mul(&mut one, &ctx.r2, &mut vec![0u64; k + 1]);
+        ctx.one = one;
+        Some(ctx)
     }
 
-    fn pad(v: &Mpint, k: usize) -> Vec<u64> {
-        let mut limbs = v.limbs_le();
-        limbs.resize(k, 0);
-        limbs
+    /// The modulus this context reduces by.
+    pub(crate) fn modulus(&self) -> &Mpint {
+        &self.modulus
     }
 
-    /// CIOS Montgomery multiplication: returns `a·b·R⁻¹ mod n` for
-    /// equal-length Montgomery-form inputs.
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+    /// CIOS Montgomery product of `k`-limb inputs `a, b < n`: leaves
+    /// `a·b·R⁻¹` (`< 2n`, so at most `k + 1` significant limbs) in
+    /// `t[..=k]`. `t` is caller-owned scratch of `k + 1` limbs.
+    ///
+    /// Each outer step adds `a[i]·b` and `m·n` in one pass (two carry
+    /// chains), where `m` makes the low limb vanish, and shifts down a limb.
+    fn cios(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
         crate::cost::count(crate::cost::Primitive::ModMul);
-        let k = self.n.len();
-        let mut t = vec![0u64; k + 2];
-        for &ai in a.iter().take(k) {
-            // t += ai * b
-            let mut carry: u128 = 0;
-            for j in 0..k {
-                let s = t[j] as u128 + ai as u128 * b[j] as u128 + carry;
-                t[j] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[k] as u128 + carry;
-            t[k] = s as u64;
-            t[k + 1] = (s >> 64) as u64;
-
-            // m = t[0] * n' mod 2^64; t += m * n; t >>= 64
-            let m = t[0].wrapping_mul(self.n_prime);
-            let mut carry: u128 = (t[0] as u128 + m as u128 * self.n[0] as u128) >> 64;
+        let n = self.modulus.limbs();
+        let k = n.len();
+        let (a, b, t) = (&a[..k], &b[..k], &mut t[..k + 1]);
+        t.fill(0);
+        for &ai in a {
+            let s = t[0] as u128 + ai as u128 * b[0] as u128;
+            let m = (s as u64).wrapping_mul(self.n_prime);
+            let r = (s as u64) as u128 + m as u128 * n[0] as u128;
+            let (mut c_ab, mut c_mn) = (s >> 64, r >> 64);
             for j in 1..k {
-                let s = t[j] as u128 + m as u128 * self.n[j] as u128 + carry;
-                t[j - 1] = s as u64;
-                carry = s >> 64;
+                let s = t[j] as u128 + ai as u128 * b[j] as u128 + c_ab;
+                let r = (s as u64) as u128 + m as u128 * n[j] as u128 + c_mn;
+                t[j - 1] = r as u64;
+                (c_ab, c_mn) = (s >> 64, r >> 64);
             }
-            let s = t[k] as u128 + carry;
+            let s = t[k] as u128 + c_ab + c_mn;
             t[k - 1] = s as u64;
-            t[k] = t[k + 1] + ((s >> 64) as u64);
-            t[k + 1] = 0;
+            t[k] = (s >> 64) as u64;
         }
-        t.truncate(k + 1);
-        // Conditional final subtraction.
-        if t[k] != 0 || geq(&t[..k], &self.n) {
-            // t may exceed n by at most n (t < 2n), so one subtraction
-            // suffices; handle the t[k]=1 overflow limb via wrapping.
-            let mut borrow = 0u64;
-            #[expect(clippy::needless_range_loop, reason = "two-array lockstep")]
-            for i in 0..k {
-                let (d1, b1) = t[i].overflowing_sub(self.n[i]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                t[i] = d2;
-                borrow = (b1 as u64) + (b2 as u64);
-            }
-            t[k] = t[k].wrapping_sub(borrow);
-            debug_assert_eq!(t[k], 0);
-        }
-        t.truncate(k);
-        t
     }
 
-    /// Modular exponentiation `base^exp mod n` (left-to-right binary over
-    /// Montgomery products).
-    pub fn mod_exp(&self, base: &Mpint, exp: &Mpint) -> Mpint {
-        let k = self.n.len();
-        let modulus = Mpint::from_limbs_le(self.n.clone());
-        let base_red = base.rem(&modulus);
-        if exp.is_zero() {
-            return Mpint::one().rem(&modulus);
+    /// Final reduction of a CIOS result `t < 2n` into `out`, without a
+    /// branch on the value: always computes `t − n`, then keeps it or `t`
+    /// by a mask taken from the borrow.
+    fn reduce_into(&self, t: &[u64], out: &mut [u64]) {
+        let n = self.modulus.limbs();
+        let k = n.len();
+        let mut borrow = 0u64;
+        for ((o, &ti), &ni) in out.iter_mut().zip(&t[..k]).zip(n) {
+            let (d1, b1) = ti.overflowing_sub(ni);
+            let (d2, b2) = d1.overflowing_sub(borrow);
+            *o = d2;
+            borrow = (b1 | b2) as u64;
         }
-        // Into Montgomery form: a·R = montmul(a, R²).
-        let a = self.mont_mul(&Self::pad(&base_red, k), &self.r2);
-        // 1 in Montgomery form = R mod n = montmul(1, R²).
-        let one_m = self.mont_mul(&Self::pad(&Mpint::one(), k), &self.r2);
+        // t < n exactly when the borrow runs through the top limb t[k].
+        let keep_t = (t[k] < borrow) as u64;
+        let mask = keep_t.wrapping_neg();
+        for (o, &ti) in out.iter_mut().zip(&t[..k]) {
+            *o = (ti & mask) | (*o & !mask);
+        }
+    }
 
-        let mut acc = one_m.clone();
-        for i in (0..exp.bit_len()).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &a);
+    /// `a ← a·b·R⁻¹ mod n` for `k`-limb Montgomery-form values; `t` is
+    /// scratch of `k + 1` limbs, so no multiply allocates.
+    fn mont_mul(&self, a: &mut [u64], b: &[u64], t: &mut [u64]) {
+        self.cios(a, b, t);
+        self.reduce_into(t, a);
+    }
+
+    /// `a ← a²·R⁻¹ mod n` (one counted Montgomery multiplication).
+    fn mont_sqr(&self, a: &mut [u64], t: &mut [u64]) {
+        self.cios(a, a, t);
+        self.reduce_into(t, a);
+    }
+
+    /// Modular exponentiation `base^exp mod n`: a fixed window of
+    /// `w = window_bits(exp.bit_len())` bits over Montgomery products.
+    ///
+    /// The table holds `base⁰ … base^(2^w − 1)` in Montgomery form. The
+    /// top window loads its entry; every further window does `w`
+    /// squarings and one multiplication by the entry for its bits (zero
+    /// windows multiply by 1), and every entry is fetched with a masked
+    /// scan of the whole table. The work is therefore fixed by the
+    /// exponent's bit length `L`: with `W = ⌈L/w⌉` windows it is
+    /// `2^w + (W − 1)·(w + 1)` Montgomery multiplications (two of them
+    /// convert into and out of Montgomery form), whatever the exponent's
+    /// bits.
+    pub fn mod_exp(&self, base: &Mpint, exp: &Mpint) -> Mpint {
+        self.mod_exp_window(base, exp, window_bits(exp.bit_len()))
+    }
+
+    /// [`Self::mod_exp`] with an explicit window width `w` (1..=6).
+    pub(crate) fn mod_exp_window(&self, base: &Mpint, exp: &Mpint, w: usize) -> Mpint {
+        let bits = exp.bit_len();
+        if bits == 0 {
+            return Mpint::one();
+        }
+        let k = self.one.len();
+        let mut t = vec![0u64; k + 1];
+        let mut table = vec![0u64; k << w];
+        table[..k].copy_from_slice(&self.one);
+        // Into Montgomery form: base·R = montmul(base, R²).
+        load(&mut table[k..2 * k], &base.rem(&self.modulus));
+        self.mont_mul(&mut table[k..2 * k], &self.r2, &mut t);
+        for i in 2..(1 << w) {
+            let (done, rest) = table.split_at_mut(i * k);
+            let entry = &mut rest[..k];
+            entry.copy_from_slice(&done[(i - 1) * k..]);
+            self.mont_mul(entry, &done[k..2 * k], &mut t);
+        }
+
+        let e = exp.limbs();
+        let windows = bits.div_ceil(w);
+        let mut acc = vec![0u64; k];
+        let mut entry = vec![0u64; k];
+        select_entry(&table, window_value(e, (windows - 1) * w, w), &mut acc);
+        for win in (0..windows - 1).rev() {
+            for _ in 0..w {
+                self.mont_sqr(&mut acc, &mut t);
             }
+            select_entry(&table, window_value(e, win * w, w), &mut entry);
+            self.mont_mul(&mut acc, &entry, &mut t);
         }
         // Out of Montgomery form: montmul(acc, 1).
-        let mut unit = vec![0u64; k];
-        unit[0] = 1;
-        let out = self.mont_mul(&acc, &unit);
-        Mpint::from_limbs_le(out)
+        load(&mut entry, &Mpint::one());
+        self.mont_mul(&mut acc, &entry, &mut t);
+        Mpint::from_limbs_le(acc)
     }
 }
 
@@ -210,6 +299,128 @@ mod tests {
         for a in [2u128, 3, 65537] {
             assert_eq!(ctx.mod_exp(&mp(a), &pm1), Mpint::one());
         }
+    }
+
+    /// Random odd modulus of exactly `bits` bits.
+    fn odd_modulus(rng: &mut XorShiftRng, bits: usize) -> Mpint {
+        let mut m = Mpint::random_bits(rng, bits);
+        m.set_bit(0);
+        m
+    }
+
+    /// Random exponent of exactly `bits` bits (zero for `bits == 0`).
+    fn exponent(rng: &mut XorShiftRng, bits: usize) -> Mpint {
+        if bits == 0 {
+            Mpint::zero()
+        } else {
+            Mpint::random_bits(rng, bits)
+        }
+    }
+
+    #[test]
+    fn matches_plain_at_rsa_sizes() {
+        let mut rng = XorShiftRng::new(78);
+        for bits in [512usize, 1024, 2048] {
+            let m = odd_modulus(&mut rng, bits);
+            let ctx = MontgomeryCtx::new(&m).unwrap();
+            let w = window_bits(bits);
+            for len in [0, 1, w - 1, w, w + 1, 17, 64, bits] {
+                let base = Mpint::random_below(&mut rng, &m);
+                let exp = exponent(&mut rng, len);
+                let want = base.mod_exp_plain(&exp, &m);
+                assert_eq!(ctx.mod_exp(&base, &exp), want, "{bits}-bit n, {len}-bit e");
+                assert_eq!(base.mod_exp(&exp, &m), want, "{bits}-bit n, {len}-bit e");
+            }
+        }
+    }
+
+    #[test]
+    fn every_width_matches_plain_across_window_boundaries() {
+        // Exponent lengths straddling every window boundary of every width,
+        // including windows that cross a 64-bit limb boundary.
+        let mut rng = XorShiftRng::new(79);
+        let m = odd_modulus(&mut rng, 512);
+        let ctx = MontgomeryCtx::new(&m).unwrap();
+        for w in 1..=6 {
+            for len in (1..=3 * w + 1).chain([63, 64, 65, 127, 128, 129, 511]) {
+                let base = Mpint::random_below(&mut rng, &m);
+                let exp = exponent(&mut rng, len);
+                assert_eq!(
+                    ctx.mod_exp_window(&base, &exp, w),
+                    base.mod_exp_plain(&exp, &m),
+                    "w = {w}, {len}-bit e"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn base_at_or_above_modulus_is_reduced() {
+        let mut rng = XorShiftRng::new(80);
+        let m = odd_modulus(&mut rng, 1024);
+        let ctx = MontgomeryCtx::new(&m).unwrap();
+        let exp = exponent(&mut rng, 1024);
+        for base in [m.clone(), m.add(&Mpint::one()), m.mul(&m).add(&mp(12345))] {
+            assert_eq!(ctx.mod_exp(&base, &exp), base.mod_exp_plain(&exp, &m));
+        }
+    }
+
+    #[test]
+    fn final_subtraction_selects_reduced_value() {
+        // n = 2^64 - 59 (one limb). CIOS results t < 2n land on both sides
+        // of n and above R = 2^64 (t[1] = 1).
+        let n = mp(0xFFFF_FFFF_FFFF_FFC5);
+        let ctx = MontgomeryCtx::new(&n).unwrap();
+        let nv = 0xFFFF_FFFF_FFFF_FFC5u64;
+        for (t, want) in [
+            ([5u64, 0], 5u64),
+            ([nv - 1, 0], nv - 1),
+            ([nv, 0], 0),
+            ([u64::MAX, 0], u64::MAX - nv),
+            ([3, 1], 3 + 59),
+        ] {
+            let mut out = [0u64; 1];
+            ctx.reduce_into(&t, &mut out);
+            assert_eq!(out[0], want, "t = {t:?}");
+        }
+    }
+
+    /// Montgomery multiplications made by one `mod_exp` call.
+    fn modmuls(ctx: &MontgomeryCtx, base: &Mpint, exp: &Mpint) -> u64 {
+        let before = crate::cost::snapshot();
+        ctx.mod_exp(base, exp);
+        crate::cost::snapshot().since(&before).modmul
+    }
+
+    #[test]
+    fn exponent_bits_do_not_change_the_work() {
+        // The counted-work twin of `ct_eq_examined`: at a fixed exponent
+        // length, a one-bit-set exponent and an all-ones exponent make the
+        // same number of Montgomery multiplications (square-and-multiply
+        // would multiply only on set bits).
+        let mut rng = XorShiftRng::new(81);
+        let m = odd_modulus(&mut rng, 1024);
+        let ctx = MontgomeryCtx::new(&m).unwrap();
+        let base = Mpint::random_below(&mut rng, &m);
+        for len in [17usize, 512, 1024] {
+            let one_bit = Mpint::one().shl(len - 1);
+            let all_ones = Mpint::one().shl(len).sub(&Mpint::one());
+            let random = exponent(&mut rng, len);
+            let sparse = modmuls(&ctx, &base, &one_bit);
+            assert_eq!(sparse, modmuls(&ctx, &base, &all_ones), "{len}-bit e");
+            assert_eq!(sparse, modmuls(&ctx, &base, &random), "{len}-bit e");
+            // 2^w + (⌈len/w⌉ − 1)·(w + 1), as `mod_exp` documents.
+            let w = window_bits(len);
+            let expected = (1u64 << w) + (len.div_ceil(w) as u64 - 1) * (w as u64 + 1);
+            assert_eq!(sparse, expected, "{len}-bit e, w = {w}");
+        }
+    }
+
+    #[test]
+    fn window_widths_at_rsa_exponent_lengths() {
+        // The widths the `cost::Primitive::ModMul` doc quotes.
+        let widths = [17, 512, 1024, 2048].map(window_bits);
+        assert_eq!(widths, [2, 5, 6, 6]);
     }
 
     proptest! {

@@ -9,8 +9,11 @@
 //! explicitly.
 //!
 //! Division is Knuth's Algorithm D (TAOCP vol. 2, §4.3.1), the same
-//! algorithm every serious bignum library uses; modular exponentiation is
-//! left-to-right binary with interleaved reduction.
+//! algorithm every serious bignum library uses. Modular exponentiation by
+//! an odd modulus is a fixed-window walk over Montgomery products
+//! ([`crate::montgomery`]); the left-to-right binary
+//! [`Mpint::mod_exp_plain`] with division after every product is the
+//! reference it is tested against and the path for even moduli.
 
 use crate::rng::CryptoRng;
 use crate::CryptoError;
@@ -399,8 +402,8 @@ impl Mpint {
     }
 
     /// The little-endian limb representation (no trailing zeros).
-    pub(crate) fn limbs_le(&self) -> Vec<u64> {
-        self.limbs.clone()
+    pub(crate) fn limbs(&self) -> &[u64] {
+        &self.limbs
     }
 
     /// Builds a value from little-endian limbs (trailing zeros allowed).
@@ -412,7 +415,9 @@ impl Mpint {
     ///
     /// Odd moduli (every RSA modulus and prime) dispatch to Montgomery
     /// multiplication ([`crate::montgomery`]); even moduli fall back to
-    /// the division-based [`Mpint::mod_exp_plain`].
+    /// the division-based [`Mpint::mod_exp_plain`]. This builds a fresh
+    /// [`crate::montgomery::MontgomeryCtx`] per call: callers that
+    /// exponentiate repeatedly by one modulus keep a context instead.
     ///
     /// # Panics
     ///
@@ -425,9 +430,9 @@ impl Mpint {
         }
     }
 
-    /// Division-based modular exponentiation (the reference
-    /// implementation [`Mpint::mod_exp`] is checked against, and the
-    /// fallback for even moduli).
+    /// Division-based left-to-right binary modular exponentiation (the
+    /// reference implementation [`Mpint::mod_exp`] is checked against, and
+    /// the fallback for even moduli).
     ///
     /// # Panics
     ///

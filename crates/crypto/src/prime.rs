@@ -7,6 +7,7 @@
 //! and Miller–Rabin rounds were consumed so the simulator's cost model can
 //! reproduce exactly that distribution.
 
+use crate::montgomery::MontgomeryCtx;
 use crate::mpint::Mpint;
 use crate::rng::CryptoRng;
 
@@ -63,11 +64,13 @@ fn is_probable_prime_counted<R: CryptoRng + ?Sized>(
 
     let two = Mpint::from(2u64);
     let n_minus_3 = n.sub(&Mpint::from(3u64));
+    // One context serves every round: n is odd and > 281 past the sieve.
+    let ctx = MontgomeryCtx::new(n).expect("sieved candidate is odd");
     'witness: for _ in 0..rounds {
         *mr_rounds += 1;
         // Random base in [2, n-2].
         let a = Mpint::random_below(rng, &n_minus_3).add(&two);
-        let mut x = a.mod_exp(&d, n);
+        let mut x = ctx.mod_exp(&a, &d);
         if x.is_one() || x == n_minus_1 {
             continue 'witness;
         }

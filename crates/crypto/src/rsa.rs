@@ -5,7 +5,15 @@
 //! sealing keys). Padding lives in [`crate::pkcs1`]; this module supplies
 //! keys and the raw `m^e mod n` primitives, using CRT for the private
 //! operation like every production implementation.
+//!
+//! Keys carry their Montgomery contexts: a private key builds one per
+//! prime when it is generated or parsed, and a public key builds one for
+//! `n` on its first operation, so parsing an untrusted public key does no
+//! bignum work.
 
+use std::sync::OnceLock;
+
+use crate::montgomery::MontgomeryCtx;
 use crate::mpint::Mpint;
 use crate::prime::{generate_prime, PrimeSearchStats};
 use crate::rng::CryptoRng;
@@ -17,10 +25,33 @@ pub const PUBLIC_EXPONENT: u64 = 65537;
 pub const MR_ROUNDS: u32 = 40;
 
 /// An RSA public key `(n, e)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality and `Debug` cover `(n, e)` only; the cached context is derived
+/// from `n`.
+#[derive(Clone)]
 pub struct RsaPublicKey {
     n: Mpint,
     e: Mpint,
+    /// Montgomery context for `n`, built on the first [`Self::raw_encrypt`]
+    /// (`None` for an even or trivial `n`, which takes the division path).
+    ctx: OnceLock<Option<MontgomeryCtx>>,
+}
+
+impl PartialEq for RsaPublicKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.e == other.e
+    }
+}
+
+impl Eq for RsaPublicKey {}
+
+impl core::fmt::Debug for RsaPublicKey {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("RsaPublicKey")
+            .field("n", &self.n)
+            .field("e", &self.e)
+            .finish()
+    }
 }
 
 /// An RSA private key with CRT parameters.
@@ -28,8 +59,10 @@ pub struct RsaPublicKey {
 pub struct RsaPrivateKey {
     public: RsaPublicKey,
     d: Mpint,
-    p: Mpint,
-    q: Mpint,
+    /// Context for the prime `p` (which it holds as its modulus).
+    p: MontgomeryCtx,
+    /// Context for the prime `q`.
+    q: MontgomeryCtx,
     d_p: Mpint,
     d_q: Mpint,
     q_inv: Mpint,
@@ -45,7 +78,7 @@ impl core::fmt::Debug for RsaPrivateKey {
 }
 
 /// Cost accounting for a key generation, consumed by the timing model.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KeygenStats {
     /// Search statistics for the first prime.
     pub p_stats: PrimeSearchStats,
@@ -56,7 +89,11 @@ pub struct KeygenStats {
 impl RsaPublicKey {
     /// Constructs a public key from raw components.
     pub fn new(n: Mpint, e: Mpint) -> Self {
-        RsaPublicKey { n, e }
+        RsaPublicKey {
+            n,
+            e,
+            ctx: OnceLock::new(),
+        }
     }
 
     /// The modulus `n`.
@@ -81,7 +118,10 @@ impl RsaPublicKey {
         if m >= &self.n {
             return Err(CryptoError::OutOfRange("message >= modulus"));
         }
-        Ok(m.mod_exp(&self.e, &self.n))
+        Ok(match self.ctx.get_or_init(|| MontgomeryCtx::new(&self.n)) {
+            Some(ctx) => ctx.mod_exp(m, &self.e),
+            None => m.mod_exp_plain(&self.e, &self.n),
+        })
     }
 
     /// Serializes as `len(n) || n || len(e) || e` (big-endian u32 lengths).
@@ -154,27 +194,31 @@ impl RsaPrivateKey {
                 continue;
             }
             let one = Mpint::one();
-            let p1 = p.sub(&one);
-            let q1 = q.sub(&one);
-            let phi = p1.mul(&q1);
+            let phi = p.sub(&one).mul(&q.sub(&one));
             // e must be invertible mod phi(n).
             let Some(d) = e.mod_inverse(&phi) else {
                 continue;
             };
-            let d_p = d.rem(&p1);
-            let d_q = d.rem(&q1);
-            let q_inv = q.mod_inverse(&p).expect("p, q distinct primes");
-            let key = RsaPrivateKey {
-                public: RsaPublicKey::new(n, e.clone()),
-                d,
-                p,
-                q,
-                d_p,
-                d_q,
-                q_inv,
-            };
+            let key = Self::with_crt(RsaPublicKey::new(n, e), d, &p, &q)
+                .expect("p, q distinct odd primes");
             return (key, KeygenStats { p_stats, q_stats });
         }
+    }
+
+    /// Derives the CRT parameters and per-prime contexts for odd `p, q > 1`
+    /// with `p·q = n`; `None` if `q` is not invertible mod `p`.
+    fn with_crt(public: RsaPublicKey, d: Mpint, p: &Mpint, q: &Mpint) -> Option<Self> {
+        let one = Mpint::one();
+        let q_inv = q.mod_inverse(p)?;
+        Some(RsaPrivateKey {
+            d_p: d.rem(&p.sub(&one)),
+            d_q: d.rem(&q.sub(&one)),
+            q_inv,
+            p: MontgomeryCtx::new(p)?,
+            q: MontgomeryCtx::new(q)?,
+            public,
+            d,
+        })
     }
 
     /// The corresponding public key.
@@ -189,18 +233,19 @@ impl RsaPrivateKey {
         if c >= &self.public.n {
             return Err(CryptoError::OutOfRange("ciphertext >= modulus"));
         }
+        let (p, q) = (self.p.modulus(), self.q.modulus());
         // CRT: m1 = c^dP mod p, m2 = c^dQ mod q,
         // h = qInv (m1 - m2) mod p, m = m2 + h q.
-        let m1 = c.mod_exp(&self.d_p, &self.p);
-        let m2 = c.mod_exp(&self.d_q, &self.q);
+        let m1 = self.p.mod_exp(c, &self.d_p);
+        let m2 = self.q.mod_exp(c, &self.d_q);
         let diff = if m1 >= m2 {
             m1.sub(&m2)
         } else {
             // (m1 - m2) mod p with m1 < m2: add enough multiples of p.
-            self.p.sub(&m2.sub(&m1).rem(&self.p)).rem(&self.p)
+            p.sub(&m2.sub(&m1).rem(p)).rem(p)
         };
-        let h = self.q_inv.mul_mod(&diff, &self.p);
-        Ok(m2.add(&h.mul(&self.q)))
+        let h = self.q_inv.mul_mod(&diff, p);
+        Ok(m2.add(&h.mul(q)))
     }
 
     /// The private exponent (exposed for serialization into TPM key blobs).
@@ -215,8 +260,8 @@ impl RsaPrivateKey {
             self.public.n.to_bytes_be(),
             self.public.e.to_bytes_be(),
             self.d.to_bytes_be(),
-            self.p.to_bytes_be(),
-            self.q.to_bytes_be(),
+            self.p.modulus().to_bytes_be(),
+            self.q.modulus().to_bytes_be(),
         ];
         let mut out = Vec::new();
         for f in fields {
@@ -227,6 +272,11 @@ impl RsaPrivateKey {
     }
 
     /// Reconstructs a private key serialized by [`RsaPrivateKey::to_bytes`].
+    ///
+    /// The bytes may come from an unsealed blob, so every field is checked
+    /// before use: [`CryptoError::Encoding`] if the framing is wrong, if
+    /// `p` or `q` is even or below 3, if `p·q ≠ n`, or if `q` has no
+    /// inverse mod `p`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
         let mut off = 0usize;
         let mut fields = Vec::with_capacity(5);
@@ -246,23 +296,15 @@ impl RsaPrivateKey {
             return Err(CryptoError::Encoding("trailing bytes"));
         }
         let [n, e, d, p, q]: [Mpint; 5] = fields.try_into().expect("5 fields");
-        let one = Mpint::one();
-        let p1 = p.sub(&one);
-        let q1 = q.sub(&one);
-        let d_p = d.rem(&p1);
-        let d_q = d.rem(&q1);
-        let q_inv = q
-            .mod_inverse(&p)
-            .ok_or(CryptoError::Encoding("q not invertible mod p"))?;
-        Ok(RsaPrivateKey {
-            public: RsaPublicKey::new(n, e),
-            d,
-            p,
-            q,
-            d_p,
-            d_q,
-            q_inv,
-        })
+        let unusable = |f: &Mpint| f.is_even() || f < &Mpint::from(3u64);
+        if unusable(&p) || unusable(&q) {
+            return Err(CryptoError::Encoding("p or q even or below 3"));
+        }
+        if p.mul(&q) != n {
+            return Err(CryptoError::Encoding("p·q != n"));
+        }
+        Self::with_crt(RsaPublicKey::new(n, e), d, &p, &q)
+            .ok_or(CryptoError::Encoding("q not invertible mod p"))
     }
 }
 
@@ -329,6 +371,150 @@ mod tests {
         let c = key.public_key().raw_encrypt(&m).unwrap();
         assert_eq!(back.raw_decrypt(&c).unwrap(), m);
         assert_eq!(back.public_key(), key.public_key());
+    }
+
+    /// A private-key blob in the [`RsaPrivateKey::to_bytes`] layout with
+    /// arbitrary field values.
+    fn blob(n: &Mpint, e: &Mpint, d: &Mpint, p: &Mpint, q: &Mpint) -> Vec<u8> {
+        let mut out = Vec::new();
+        for f in [n, e, d, p, q] {
+            let b = f.to_bytes_be();
+            out.extend_from_slice(&(b.len() as u32).to_be_bytes());
+            out.extend_from_slice(&b);
+        }
+        out
+    }
+
+    /// Parses a valid key's blob with `p` set to the given value and `n`
+    /// to `p·q`, so only the checks on `p` itself can reject it.
+    fn parse_with_p(p: u64) -> Result<RsaPrivateKey, CryptoError> {
+        let key = test_key(256, 23);
+        let q = key.q.modulus();
+        let p = Mpint::from(p);
+        RsaPrivateKey::from_bytes(&blob(&p.mul(q), key.public.e(), key.d(), &p, q))
+    }
+
+    #[test]
+    fn private_key_rejects_zero_p() {
+        assert!(matches!(parse_with_p(0), Err(CryptoError::Encoding(_))));
+    }
+
+    #[test]
+    fn private_key_rejects_p_of_one() {
+        assert!(matches!(parse_with_p(1), Err(CryptoError::Encoding(_))));
+    }
+
+    #[test]
+    fn private_key_rejects_even_p() {
+        assert!(matches!(parse_with_p(4), Err(CryptoError::Encoding(_))));
+    }
+
+    #[test]
+    fn private_key_rejects_n_other_than_pq() {
+        let key = test_key(256, 24);
+        let (p, q) = (key.p.modulus(), key.q.modulus());
+        let wrong_n = key.public.n().add(&Mpint::from(2u64));
+        let bytes = blob(&wrong_n, key.public.e(), key.d(), p, q);
+        assert!(matches!(
+            RsaPrivateKey::from_bytes(&bytes),
+            Err(CryptoError::Encoding(_))
+        ));
+        // The same fields with the right n parse.
+        let bytes = blob(key.public.n(), key.public.e(), key.d(), p, q);
+        assert!(RsaPrivateKey::from_bytes(&bytes).is_ok());
+    }
+
+    #[test]
+    fn crt_decrypt_matches_plain_exponentiation() {
+        // The cached per-prime contexts and CRT recombination must agree
+        // with the textbook c^d mod n.
+        for (bits, seed) in [(512usize, 25u64), (1024, 26)] {
+            let key = test_key(bits, seed);
+            let n = key.public_key().n();
+            let mut rng = XorShiftRng::new(seed);
+            for _ in 0..4 {
+                let c = Mpint::random_below(&mut rng, n);
+                assert_eq!(key.raw_decrypt(&c).unwrap(), c.mod_exp(key.d(), n));
+            }
+            let parsed = RsaPrivateKey::from_bytes(&key.to_bytes()).unwrap();
+            let c = Mpint::random_below(&mut rng, n);
+            assert_eq!(parsed.raw_decrypt(&c).unwrap(), c.mod_exp(key.d(), n));
+        }
+    }
+
+    #[test]
+    fn keygen_1024_is_pinned() {
+        // SHA-1 of n and the search statistics for fixed seeds. The
+        // statistics drive the simulated keygen time (Figure 9a), so any
+        // change in how key generation draws from its RNG fails here.
+        let stats = |pc, pr, qc, qr| KeygenStats {
+            p_stats: PrimeSearchStats {
+                candidates_tried: pc,
+                mr_rounds: pr,
+            },
+            q_stats: PrimeSearchStats {
+                candidates_tried: qc,
+                mr_rounds: qr,
+            },
+        };
+        for (seed, n_sha1, want) in [
+            (
+                1,
+                "b2460f5b7d39f08f4674edb2fe103a616027b028",
+                stats(365, 101, 352, 103),
+            ),
+            (
+                2,
+                "e0ed80101c42f58b71dfa15cf0e598fab6a6492d",
+                stats(461, 125, 13, 42),
+            ),
+            (
+                3,
+                "1648e8c21c8e1b8092104054087a5b5bb1366084",
+                stats(245, 84, 72, 51),
+            ),
+        ] {
+            let (key, got) = RsaPrivateKey::generate(1024, &mut XorShiftRng::new(seed));
+            let n = key.public_key().n().to_bytes_be();
+            assert_eq!(
+                crate::hex::encode(&crate::sha1::sha1(&n)),
+                n_sha1,
+                "seed {seed}"
+            );
+            assert_eq!(got, want, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn keys_are_clone_send_sync() {
+        fn assert_traits<T: Clone + Send + Sync>() {}
+        assert_traits::<RsaPublicKey>();
+        assert_traits::<RsaPrivateKey>();
+    }
+
+    #[test]
+    fn public_key_context_is_lazy_and_outside_equality() {
+        let key = test_key(256, 27);
+        let parsed = RsaPublicKey::from_bytes(&key.public_key().to_bytes()).unwrap();
+        assert!(parsed.ctx.get().is_none(), "parsing builds no context");
+        let used = parsed.clone();
+        used.raw_encrypt(&Mpint::from(7u64)).unwrap();
+        assert!(used.ctx.get().is_some());
+        assert_eq!(used, parsed);
+        assert_eq!(format!("{used:?}"), format!("{parsed:?}"));
+    }
+
+    #[test]
+    fn even_public_modulus_takes_the_division_path() {
+        // A malformed (even) modulus from untrusted bytes has no
+        // Montgomery context; the public operation still works.
+        let n = Mpint::from(1_000_000u64);
+        let key = RsaPublicKey::new(n.clone(), Mpint::from(65537u64));
+        let m = Mpint::from(12345u64);
+        assert_eq!(
+            key.raw_encrypt(&m).unwrap(),
+            m.mod_exp_plain(&Mpint::from(65537u64), &n)
+        );
     }
 
     #[test]

@@ -7,6 +7,9 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test --workspace -q
+# The bignum kernel again in release: debug_assert! compiled out and
+# integer arithmetic wrapping instead of trapping.
+cargo test --release -p flicker-crypto -q
 # Deterministic robustness gate: 200 seeded fault schedules across the §6
 # applications; every schedule's flight record is replayed through the
 # trace auditor, and any violation exits non-zero. The --quick sweep runs
