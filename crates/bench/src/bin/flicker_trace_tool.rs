@@ -12,7 +12,7 @@
 //! flicker_trace_tool profile [--quick] [--json] [--out PATH]
 //! flicker_trace_tool profile --check PATH [--quick]
 //! flicker_trace_tool flamegraph [--quick] [--format folded|chrome]
-//!                               [--out PATH] [--diff PATH | --diff-warm]
+//!                               [--out PATH] [--diff PATH]
 //! ```
 //!
 //! `export`, `summary`, `audit` (without `--jsonl`), and `critical-path`
@@ -72,7 +72,7 @@ fn usage(err: &str) -> ExitCode {
          \x20 farm-timeline [--quick | --from DIR] [--limit N]\n\
          \x20 profile       [--quick] [--json] [--out PATH] [--check PATH]\n\
          \x20 flamegraph    [--quick] [--format folded|chrome] [--out PATH]\n\
-         \x20               [--diff PATH | --diff-warm]"
+         \x20               [--diff PATH]"
     );
     ExitCode::FAILURE
 }
@@ -632,12 +632,10 @@ fn cmd_flamegraph(args: &[String]) -> ExitCode {
     let mut format = String::from("folded");
     let mut out: Option<String> = None;
     let mut diff: Option<String> = None;
-    let mut diff_warm = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--diff-warm" => diff_warm = true,
             "--format" => match it.next() {
                 Some(f) => format = f.clone(),
                 None => return usage("--format needs folded|chrome"),
@@ -652,10 +650,6 @@ fn cmd_flamegraph(args: &[String]) -> ExitCode {
             },
             other => return usage(&format!("unknown flamegraph argument {other:?}")),
         }
-    }
-
-    if diff_warm {
-        return flamegraph_diff_warm();
     }
 
     let trace = record_flight(quick);
@@ -721,66 +715,5 @@ fn cmd_flamegraph(args: &[String]) -> ExitCode {
         }
         None => print!("{text}"),
     }
-    ExitCode::SUCCESS
-}
-
-/// Cold-vs-warm diff: a 1-iteration flight (cold caches, per-boot key
-/// loads unamortised) against the standard quick flight, compared by
-/// *share* of total time so the different run lengths cancel out.
-fn flamegraph_diff_warm() -> ExitCode {
-    eprintln!("recording cold flight (1 iteration per app)");
-    let cold_trace = run_baseline_traced(&BaselineConfig {
-        iterations_per_app: 1,
-        quick: true,
-    })
-    .1;
-    let cold = trace_profile::build(&cold_trace);
-    eprintln!("recording warm flight (quick)");
-    let warm_trace = run_baseline_traced(&BaselineConfig::quick()).1;
-    let warm = trace_profile::build(&warm_trace);
-
-    let shares = |p: &trace_profile::Profile| -> BTreeMap<String, f64> {
-        let total = (p.total().as_nanos() as f64).max(1.0);
-        p.folded_weights()
-            .into_iter()
-            .map(|(path, w)| (path, w as f64 / total))
-            .collect()
-    };
-    let (c, w) = (shares(&cold), shares(&warm));
-    let mut rows: Vec<(String, f64, f64)> = c
-        .keys()
-        .chain(w.keys())
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .map(|path| {
-            let b = c.get(path).copied().unwrap_or(0.0);
-            let a = w.get(path).copied().unwrap_or(0.0);
-            (path.clone(), b, a)
-        })
-        .filter(|&(_, b, a)| (a - b).abs() > 1e-4)
-        .collect();
-    rows.sort_by(|x, y| {
-        (y.2 - y.1)
-            .abs()
-            .total_cmp(&(x.2 - x.1).abs())
-            .then(x.0.cmp(&y.0))
-    });
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .take(20)
-        .map(|(path, b, a)| {
-            vec![
-                path.clone(),
-                format!("{:.2}%", b * 100.0),
-                format!("{:.2}%", a * 100.0),
-                format!("{:+.2}pp", (a - b) * 100.0),
-            ]
-        })
-        .collect();
-    print_table(
-        "Cold vs warm: stack share of total time",
-        &["stack", "cold", "warm", "delta"],
-        &table,
-    );
     ExitCode::SUCCESS
 }

@@ -21,13 +21,14 @@
 //! leaf in a trajectory line becomes one series, named by its JSON path
 //! (`apps/ssh/p50_ms`, `farm/p50_ms`, `farm_attr/categories/tpm_ms`, ...).
 //!
-//! The trajectory is *mixed-schema*: perf_baseline, farm_bench, and
-//! warm_bench each append their own line shape, and one commit usually
-//! appends several. Lines sharing a commit are merged into **one**
-//! dashboard entry (last value wins when two lines carry the same leaf),
-//! so the x-axis is commits, not lines — and a commit that lacks some
-//! series (an older schema, a tool not run) simply has *no* sample there;
-//! the chart renders a gap, never a fabricated zero.
+//! The trajectory is *mixed-schema*: perf_baseline and farm_bench each
+//! append their own line shape (older lines carry retired shapes too),
+//! and one commit usually appends several. Lines sharing a commit are
+//! merged into **one** dashboard entry (last value wins when two lines
+//! carry the same leaf), so the x-axis is commits, not lines — and a
+//! commit that lacks some series (an older schema, a tool not run) simply
+//! has *no* sample there; the chart renders a gap, never a fabricated
+//! zero.
 
 use flicker_bench::json::{self, Value};
 use std::collections::BTreeMap;
@@ -189,7 +190,7 @@ fn run_check_drift(trajectory: &str, text: &str, include_quick: bool) -> ExitCod
             continue;
         }
         let Some(profile) = value.get("profile").cloned() else {
-            continue; // pre-profile schema lines, farm/warm lines
+            continue; // lines without the profile extension
         };
         if let Some((prev_line, before)) = prev.get(&quick) {
             compared += 1;

@@ -349,19 +349,6 @@ pub fn print_summary(attr: &FarmAttribution, slo: &SloReport) {
         &rows,
     );
 
-    let warm = attr.warm_saved_totals();
-    if !warm.is_empty() {
-        let rows: Vec<Vec<String>> = warm
-            .iter()
-            .map(|(kind, d)| vec![kind.clone(), format!("{:.1}", d.as_secs_f64() * 1e3)])
-            .collect();
-        print_table(
-            "Warm-path savings (avoided work, not wall time)",
-            &["kind", "saved_ms"],
-            &rows,
-        );
-    }
-
     let rows: Vec<Vec<String>> = slo
         .workloads
         .iter()
@@ -410,12 +397,6 @@ pub fn farm_attr_value(attr: &FarmAttribution, slo: &SloReport) -> Value {
     let mut cats = BTreeMap::new();
     for (name, total) in attr.category_totals() {
         cats.insert(format!("{name}_ms"), num(total.as_secs_f64() * 1e3));
-    }
-    for (kind, total) in attr.warm_saved_totals() {
-        cats.insert(
-            format!("warm_saved_{kind}_ms"),
-            num(total.as_secs_f64() * 1e3),
-        );
     }
     let mut workloads = BTreeMap::new();
     for w in &slo.workloads {

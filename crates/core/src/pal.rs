@@ -21,9 +21,7 @@ use crate::slb::{INPUTS_OFFSET, OUTPUTS_MAX};
 use flicker_crypto::rng::XorShiftRng;
 use flicker_crypto::rsa::{KeygenStats, RsaPrivateKey};
 use flicker_crypto::sha1::Sha1;
-use flicker_machine::{
-    pal_segments, Machine, RetryPolicy, SealKey, SegmentDescriptor, SegmentKind,
-};
+use flicker_machine::{pal_segments, Machine, RetryPolicy, SegmentDescriptor, SegmentKind};
 use flicker_tpm::{
     ClientSession, CommandAuth, PcrSelection, PcrValue, SealedBlob, Tpm, TpmError, TpmResult,
     WELL_KNOWN_AUTH,
@@ -229,7 +227,7 @@ impl<'a> PalContext<'a> {
     }
 
     /// Like [`PalContext::logged`], but for operations that need the whole
-    /// context (e.g. the authorized warm-path helpers below).
+    /// context (e.g. the authorized helpers below).
     fn logged_self<T>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> T) -> T {
         let start = self.machine.clock().now();
         let out = f(self);
@@ -250,7 +248,7 @@ impl<'a> PalContext<'a> {
     /// even nonce rolls with every accepted command, and the attempt index
     /// separates driver retries — so no odd nonce repeats on a session,
     /// and the PAL-visible randomness stream (`rng()`) is never consumed
-    /// for auth traffic (warm and cold runs must stay byte-identical).
+    /// for auth traffic.
     fn auth_nonce_seed(session: &ClientSession, attempt: u32) -> u64 {
         let mut buf = Vec::with_capacity(28);
         buf.extend_from_slice(&session.handle().to_be_bytes());
@@ -260,65 +258,36 @@ impl<'a> PalContext<'a> {
         u64::from_be_bytes(d[..8].try_into().expect("8 bytes"))
     }
 
-    /// Parks or closes `session` after a command. A continued (warm)
-    /// session goes back in the machine's warm pool for the next command
-    /// or PAL run. A one-shot session is unconditionally terminated: the
-    /// TPM may not have consumed it (busy give-up, or a command that
-    /// failed before authorization, e.g. `DecryptError` on a corrupt
-    /// blob), and `TPM_Terminate_Handle` on an already-closed session is a
-    /// free no-op.
-    fn finish_session(&mut self, session: ClientSession, keep: bool) {
-        if keep {
-            self.machine.warm_mut().park_session(session);
-        } else {
-            let handle = session.handle();
-            self.machine.tpm_op(|t| t.terminate_handle(handle));
-        }
-    }
-
     /// Runs an authorized TPM command with driver-side busy retry, under
-    /// the machine's cached warm auth session when one is parked (else a
-    /// fresh OIAP). Fresh odd nonce per attempt; the TPM's response
-    /// authorization is absorbed after every non-busy attempt so a
-    /// continued session stays nonce-synchronized; a stale warm session
-    /// (evicted or flushed server-side) is invalidated and recovered once
-    /// with a fresh session.
+    /// the machine's parked auth session when there is one (else a fresh
+    /// OIAP). The session is continued and parked again afterwards, so one
+    /// session serves every command and PAL run on the machine and the
+    /// TPM's table holds at most one live session for it. Fresh odd nonce
+    /// per attempt; the TPM's response authorization is absorbed after
+    /// every non-busy attempt so the session stays nonce-synchronized; a
+    /// stale parked session (evicted or flushed server-side) is dropped and
+    /// recovered once with a fresh session.
     fn authorized_retrying<T>(
         &mut self,
         pd: [u8; 20],
         f: impl Fn(&mut Tpm, &CommandAuth) -> TpmResult<T>,
     ) -> TpmResult<T> {
-        let warm = self.machine.warm().enabled();
         let mut recovered = false;
         'session: loop {
-            let (mut session, reused) = match self.machine.warm_mut().take_session() {
+            let (mut session, reused) = match self.machine.take_parked_session() {
                 Some(s) => (s, true),
                 None => (self.machine.tpm_op(|t| t.oiap(WELL_KNOWN_AUTH)), false),
             };
-            if warm {
-                let saved = self.machine.tpm().timing().session_start;
-                let now = self.machine.clock().now();
-                if let Some(t) = self.machine.tracer() {
-                    t.counter_add(if reused { "warm.hit" } else { "warm.miss" }, 1);
-                    if reused {
-                        // A parked session skipped a TPM_OIAP; record the
-                        // avoided cost for the attribution report (never
-                        // counted toward wall time).
-                        t.charge(now, "warm_saved.oiap", saved);
-                    }
-                }
+            if let Some(t) = self.machine.tracer() {
+                t.counter_add(if reused { "warm.hit" } else { "warm.miss" }, 1);
             }
-            // Warm sessions are continued across commands; cold runs close
-            // the session with the command (one-shot), which is what keeps
-            // the TPM's table bounded under per-request workloads.
-            let keep = warm;
             let policy = RetryPolicy::tpm_default();
             let mut attempt = 0u32;
             let mut retries = 0u32;
             loop {
                 let mut r = XorShiftRng::new(Self::auth_nonce_seed(&session, attempt));
                 attempt += 1;
-                let auth = session.authorize(&pd, &mut r, keep);
+                let auth = session.authorize(&pd, &mut r, true);
                 let (out, resp) = self.machine.tpm_op(|t| {
                     let out = f(t, &auth);
                     (out, t.take_response_auth())
@@ -334,32 +303,30 @@ impl<'a> PalContext<'a> {
                     }
                 }
                 match out {
-                    Err(TpmError::Retry) => match policy.backoff(retries) {
-                        Some(wait) => {
-                            // Busy gate fires before the TPM looks at the
-                            // session, so its nonce state is untouched;
-                            // the next attempt still uses a fresh odd
-                            // nonce via the attempt index.
-                            retries += 1;
-                            if let Some(t) = self.machine.tracer() {
-                                t.counter_add("tpm.retry", 1);
-                            }
-                            self.machine.charge_backoff(wait);
-                            if self.machine.power_lost() {
-                                self.finish_session(session, keep);
-                                return Err(TpmError::Retry);
-                            }
+                    Err(TpmError::Retry) => {
+                        // Busy gate fires before the TPM looks at the
+                        // session, so its nonce state is untouched; the
+                        // next attempt still uses a fresh odd nonce via
+                        // the attempt index.
+                        let Some(wait) = policy.backoff(retries) else {
+                            self.machine.park_session(session);
+                            return Err(TpmError::Retry);
+                        };
+                        retries += 1;
+                        if let Some(t) = self.machine.tracer() {
+                            t.counter_add("tpm.retry", 1);
                         }
-                        None => {
-                            self.finish_session(session, keep);
+                        self.machine.charge_backoff(wait);
+                        if self.machine.power_lost() {
+                            self.machine.park_session(session);
                             return Err(TpmError::Retry);
                         }
-                    },
+                    }
                     Err(e @ (TpmError::AuthFail | TpmError::InvalidAuthHandle(_))) => {
-                        // The server half is gone. A reused warm session
+                        // The server half is gone. A reused parked session
                         // may simply have gone stale (evicted under table
                         // pressure, flushed by a reboot we did not cause):
-                        // invalidate and recover once with a fresh session.
+                        // drop it and recover once with a fresh session.
                         if reused && !recovered {
                             recovered = true;
                             if let Some(t) = self.machine.tracer() {
@@ -370,47 +337,14 @@ impl<'a> PalContext<'a> {
                         return Err(e);
                     }
                     other => {
-                        // Success, or a post-authorization failure: a
-                        // continued session is live and in sync (absorbed
-                        // above); a one-shot session was consumed.
-                        self.finish_session(session, keep);
+                        // Success, or a post-authorization failure: the
+                        // session is live and in sync (absorbed above).
+                        self.machine.park_session(session);
                         return other;
                     }
                 }
             }
         }
-    }
-
-    /// Shared seal path: warm seal-memo lookup (valid because the TPM's
-    /// SIV nonce makes equal inputs seal to byte-identical blobs), then
-    /// the authorized command on miss.
-    fn seal_cached(
-        &mut self,
-        key: SealKey,
-        pd: [u8; 20],
-        cmd: impl Fn(&mut Tpm, &CommandAuth) -> TpmResult<SealedBlob>,
-    ) -> FlickerResult<SealedBlob> {
-        if self.machine.warm().enabled() {
-            if let Some(blob) = self.machine.warm_mut().lookup_seal(&key) {
-                let saved = self.machine.tpm().timing().seal;
-                let now = self.machine.clock().now();
-                if let Some(t) = self.machine.tracer() {
-                    t.counter_add("warm.hit", 1);
-                    // The memo hit skipped a TPM_Seal; record the avoided
-                    // cost (attribution reports it separately from wall).
-                    t.charge(now, "warm_saved.seal", saved);
-                }
-                // Keep the op-log shape: the skipped seal still appears,
-                // with the (zero) time it actually took.
-                return Ok(self.logged_self("seal", |_| blob));
-            }
-            if let Some(t) = self.machine.tracer() {
-                t.counter_add("warm.miss", 1);
-            }
-        }
-        let blob = self.logged_self("seal", |s| s.authorized_retrying(pd, &cmd))?;
-        self.machine.warm_mut().store_seal(key, blob.clone());
-        Ok(blob)
     }
 
     /// Seals `data` under the *current* value of PCR 17 — i.e. for a future
@@ -419,16 +353,9 @@ impl<'a> PalContext<'a> {
         let sel = PcrSelection::pcr17();
         let digest = self.machine.tpm_op(|t| t.pcrs().composite_hash(&sel))?;
         let pd = Tpm::param_digest(&[b"TPM_Seal", data, &sel.encode(), &digest]);
-        let key = SealKey {
-            data: data.to_vec(),
-            selection: sel.encode(),
-            digest_at_release: digest,
-            blob_auth: WELL_KNOWN_AUTH,
-        };
-        let owned = data.to_vec();
-        self.seal_cached(key, pd, move |t, auth| {
-            t.seal(&owned, &sel, &WELL_KNOWN_AUTH, auth)
-        })
+        Ok(self.logged_self("seal", |s| {
+            s.authorized_retrying(pd, |t, auth| t.seal(data, &sel, &WELL_KNOWN_AUTH, auth))
+        })?)
     }
 
     /// Seals `data` so that only a PAL whose post-`SKINIT` PCR 17 equals
@@ -441,16 +368,11 @@ impl<'a> PalContext<'a> {
         let sel = PcrSelection::pcr17();
         let digest = flicker_tpm::seal::digest_at_release_for(&sel, &[target_pcr17]);
         let pd = Tpm::param_digest(&[b"TPM_Seal", data, &sel.encode(), &digest]);
-        let key = SealKey {
-            data: data.to_vec(),
-            selection: sel.encode(),
-            digest_at_release: digest,
-            blob_auth: WELL_KNOWN_AUTH,
-        };
-        let owned = data.to_vec();
-        self.seal_cached(key, pd, move |t, auth| {
-            t.seal_for_future(&owned, &sel, &[target_pcr17], &WELL_KNOWN_AUTH, auth)
-        })
+        Ok(self.logged_self("seal", |s| {
+            s.authorized_retrying(pd, |t, auth| {
+                t.seal_for_future(data, &sel, &[target_pcr17], &WELL_KNOWN_AUTH, auth)
+            })
+        })?)
     }
 
     /// Unseals a blob (succeeds only if PCR 17 currently matches the

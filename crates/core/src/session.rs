@@ -413,18 +413,11 @@ pub fn run_session(
         // the result into PCR 17.
         let window = machine.memory().read(slb_base, SLB_MAX)?.to_vec();
         // The stub's hashing *time* is always charged (the stub really runs
-        // on the main CPU every session); the warm memo only skips the
-        // redundant host-side recomputation for an unchanged window.
+        // on the main CPU every session); the measurement memo only skips
+        // the host-side recomputation for an unchanged window.
         let cost = machine.cpu_cost().sha1(window.len());
         machine.charge_cpu(cost);
-        let window_hash = match machine.warm_mut().lookup_measurement(&window) {
-            Some(h) => h,
-            None => {
-                let h = flicker_crypto::sha1::sha1(&window);
-                machine.warm_mut().store_measurement(&window, h);
-                h
-            }
-        };
+        let (window_hash, _) = machine.sha1_memoized(&window);
         machine.tpm_op_retrying(|t| t.pcr_extend(17, &window_hash))?;
         if !overflow.is_empty() {
             // Large PAL: the preparatory code adds the overflow region to

@@ -233,8 +233,8 @@ pub struct ShardSummary {
     /// True if the shard exhausted `max_probes` and stopped serving.
     pub retired: bool,
     /// Auth sessions still live in the shard's TPM session table at
-    /// shutdown. A healthy warm-path machine parks at most one, so the
-    /// farm-wide sum stays ≤ the machine count (§7.6 leak bound).
+    /// shutdown. A healthy machine parks at most one, so the farm-wide sum
+    /// stays ≤ the machine count (the session-leak bound).
     pub open_sessions: usize,
     /// The shard's flight record (auditable independently).
     pub trace: Trace,
@@ -584,12 +584,12 @@ fn worker_loop(inner: &Inner, mut shard: Shard) -> ShardSummary {
                     if tripped {
                         let end = shard.end_attempt(p.id);
                         inner.emit(actions::QUARANTINE, p.id, shard.id());
-                        // A quarantined machine forfeits its warm-path
-                        // state: parked auth sessions and memoized seals
-                        // on a sick machine must not survive into the
-                        // probe/re-admission cycle (§7.6 invalidation on
-                        // quarantine, alongside reboot and power loss).
-                        shard.invalidate_warm();
+                        // A quarantined machine forfeits its parked auth
+                        // session: live session state on a sick machine
+                        // must not survive into the probe/re-admission
+                        // cycle (dropped on quarantine, as on reboot and
+                        // power loss).
+                        shard.drop_parked_session();
                         if p.attempts >= policy.max_attempts() {
                             // Terminal anyway: record it rather than
                             // requeueing a request with no attempts left.
@@ -795,8 +795,8 @@ mod tests {
         for s in &report.shards {
             assert!(
                 s.open_sessions <= 1,
-                "machine {} holds {} live sessions after the run (warm \
-                 parking allows exactly one)",
+                "machine {} holds {} live sessions after the run \
+                 (parking allows exactly one)",
                 s.id,
                 s.open_sessions
             );
@@ -809,7 +809,7 @@ mod tests {
     }
 
     /// Farm recovery with an auth session open across a power cut: the
-    /// first SSH request parks a warm session, the cut kills the platform
+    /// first SSH request parks a session, the cut kills the platform
     /// mid-protocol, and the rebooted machine must serve the retry with
     /// fresh handles (monotonic allocation means the stale parked handle
     /// can never be re-issued to collide with post-reboot state).
@@ -818,7 +818,7 @@ mod tests {
         let mut config = FarmConfig::fast_for_tests(1);
         config.quarantine_after = 10; // keep the breaker out of the way
         let farm = Farm::start(config);
-        // Warm the shard: a clean SSH run leaves one parked session.
+        // A clean SSH run leaves one parked session.
         farm.submit(friendly(AppKind::Ssh, 41));
         // Then a run whose power fails mid-protocol, with the parked
         // session still live from the previous request.

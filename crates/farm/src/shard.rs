@@ -168,19 +168,17 @@ impl Shard {
         self.os.reboot_after_power_loss();
     }
 
-    /// Drops the machine's §7.6 warm-path state (parked auth session,
-    /// measurement and seal memos). The farm calls this when the breaker
-    /// quarantines a shard: a machine sick enough to quarantine cannot be
-    /// trusted to still hold live TPM session state, and probes must earn
-    /// re-admission from a cold start.
-    pub fn invalidate_warm(&mut self) {
-        self.os.machine_mut().invalidate_warm();
+    /// Drops the machine's parked auth session (§7.6). The farm calls this
+    /// when the breaker quarantines a shard: a machine sick enough to
+    /// quarantine cannot be trusted to still hold live TPM session state,
+    /// and probes must earn re-admission with a fresh session.
+    pub fn drop_parked_session(&mut self) {
+        self.os.machine_mut().drop_parked_session();
     }
 
-    /// Auth sessions currently live in this shard's TPM session table.
-    /// With the warm path on, a healthy machine parks at most one reusable
-    /// session between commands, so the farm-wide total stays bounded by
-    /// the machine count.
+    /// Auth sessions currently live in this shard's TPM session table. A
+    /// healthy machine parks at most one reusable session between
+    /// commands, so the farm-wide total stays bounded by the machine count.
     pub fn open_session_count(&self) -> usize {
         self.os.machine().tpm().open_session_count()
     }

@@ -26,7 +26,6 @@ pub mod memory;
 pub mod retry;
 pub mod seg;
 pub mod skinit;
-pub mod warm;
 
 pub use clock::{SimClock, Stopwatch};
 pub use cpu::{Core, CoreState, CpuComplex, CpuMode};
@@ -38,4 +37,3 @@ pub use memory::PhysMemory;
 pub use retry::RetryPolicy;
 pub use seg::{pal_segments, CallGate, Gdt, SegmentDescriptor, SegmentKind};
 pub use skinit::{SkinitCostModel, SLB_MAX_LEN};
-pub use warm::{SealKey, WarmCache};

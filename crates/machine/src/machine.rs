@@ -14,9 +14,9 @@ use crate::error::{MachineError, MachineResult};
 use crate::memory::PhysMemory;
 use crate::retry::RetryPolicy;
 use crate::skinit::{SkinitCostModel, SLB_MAX_LEN};
-use crate::warm::WarmCache;
+use flicker_crypto::sha1::sha1;
 use flicker_faults::{fired, FaultInjector};
-use flicker_tpm::{Tpm, TpmConfig, TpmError, TpmResult};
+use flicker_tpm::{ClientSession, Tpm, TpmConfig, TpmError, TpmResult};
 use flicker_trace::{EventKind, Trace};
 use std::time::Duration;
 
@@ -32,6 +32,10 @@ pub const TPM_RETRY_BACKOFF: [Duration; 3] = [
     Duration::from_millis(2),
     Duration::from_millis(4),
 ];
+
+/// Images kept in the measurement memo. Each entry holds a full image copy
+/// (up to 64 KB); a handful covers a machine cycling through its PAL set.
+const MEASURE_MEMO_CAP: usize = 4;
 
 /// Configuration for building a [`Machine`].
 #[derive(Debug, Clone)]
@@ -108,10 +112,13 @@ pub struct Machine {
     injector: Option<FaultInjector>,
     tracer: Option<Trace>,
     power_lost: bool,
-    /// §7.6 warm-path cache (measurement memo, seal memo, parked auth
-    /// session). Invalidated by [`Machine::reboot`] and
-    /// [`Machine::power_cycle`]; the farm also invalidates on quarantine.
-    warm: WarmCache,
+    /// The auth session the last authorized command left open
+    /// (`continueAuthSession`), parked for the next command or PAL run so
+    /// it need not open a fresh `TPM_OIAP` (§7.6). Dropped by
+    /// [`Machine::drop_parked_session`].
+    parked_session: Option<ClientSession>,
+    /// Image bytes → SHA-1, most recent first ([`Machine::sha1_memoized`]).
+    measure_memo: Vec<(Vec<u8>, [u8; 20])>,
 }
 
 impl Machine {
@@ -137,41 +144,49 @@ impl Machine {
             injector: None,
             tracer: None,
             power_lost: false,
-            warm: WarmCache::new(),
+            parked_session: None,
+            measure_memo: Vec::new(),
         }
     }
 
-    // ----- warm path ------------------------------------------------------
+    // ----- warm path (§7.6) -----------------------------------------------
 
-    /// The §7.6 warm-path cache.
-    pub fn warm(&self) -> &WarmCache {
-        &self.warm
+    /// Takes the parked auth session, if any. The caller parks it back
+    /// once a command has left it live and nonce-synchronized.
+    pub fn take_parked_session(&mut self) -> Option<ClientSession> {
+        self.parked_session.take()
     }
 
-    /// The §7.6 warm-path cache, mutably.
-    pub fn warm_mut(&mut self) -> &mut WarmCache {
-        &mut self.warm
+    /// Parks a live auth session for the next authorized command.
+    pub fn park_session(&mut self, session: ClientSession) {
+        self.parked_session = Some(session);
     }
 
-    /// Turns the warm path on or off. Turning it off invalidates, so a
-    /// cold run never serves stale warm state.
-    pub fn set_warm_enabled(&mut self, on: bool) {
-        if self.warm.set_enabled(on) {
+    /// Drops the parked auth session, bumping `warm.invalidate` if there
+    /// was one. Reboot and power-cycle call this; the farm calls it on
+    /// quarantine. The measurement memo stays: it is keyed by the exact
+    /// bytes, so it cannot go stale.
+    pub fn drop_parked_session(&mut self) {
+        if self.parked_session.take().is_some() {
             if let Some(t) = &self.tracer {
                 t.counter_add("warm.invalidate", 1);
             }
         }
     }
 
-    /// Drops all warm state, bumping `warm.invalidate` if anything was
-    /// cached. Reboot/power-cycle call this; the farm calls it on
-    /// quarantine.
-    pub fn invalidate_warm(&mut self) {
-        if self.warm.invalidate() {
-            if let Some(t) = &self.tracer {
-                t.counter_add("warm.invalidate", 1);
-            }
+    /// SHA-1 of `bytes` through the measurement memo, and whether the memo
+    /// already held it. SKINIT and the hashing stub re-measure the same
+    /// image every session; a hit skips only the host-side hashing, so
+    /// callers charge the simulated hashing time either way.
+    pub fn sha1_memoized(&mut self, bytes: &[u8]) -> ([u8; 20], bool) {
+        if let Some(pos) = self.measure_memo.iter().position(|(b, _)| b == bytes) {
+            self.measure_memo[..=pos].rotate_right(1);
+            return (self.measure_memo[0].1, true);
         }
+        let digest = sha1(bytes);
+        self.measure_memo.insert(0, (bytes.to_vec(), digest));
+        self.measure_memo.truncate(MEASURE_MEMO_CAP);
+        (digest, false)
     }
 
     // ----- tracing --------------------------------------------------------
@@ -291,7 +306,7 @@ impl Machine {
         self.dev = DeviceExclusionVector::new();
         self.active = None;
         self.power_lost = false;
-        self.invalidate_warm();
+        self.drop_parked_session();
         self.emit(EventKind::Reboot);
     }
 
@@ -531,26 +546,13 @@ impl Machine {
         // be: code beyond the header-declared length is unmeasured and must
         // never be trusted).
         let slb = self.memory.read(slb_base, slb_len)?.to_vec();
-        // Warm path: memoized SHA-1 of an unchanged SLB skips redundant
-        // host-side hashing. Virtual time is untouched — the PCR-17 chain
-        // and the charged SKINIT transfer cost are identical either way.
-        let hint = self.warm.lookup_measurement(&slb);
-        if self.warm.enabled() {
-            if let Some(t) = &self.tracer {
-                t.counter_add(
-                    if hint.is_some() {
-                        "warm.hit"
-                    } else {
-                        "warm.miss"
-                    },
-                    1,
-                );
-            }
+        // Virtual time is untouched by the memo: the PCR-17 chain and the
+        // charged SKINIT transfer cost are identical on a hit.
+        let (digest, memoized) = self.sha1_memoized(&slb);
+        if let Some(t) = &self.tracer {
+            t.counter_add(if memoized { "warm.hit" } else { "warm.miss" }, 1);
         }
-        let measurement = self.tpm.skinit_measure_with_hint(4, &slb, hint)?;
-        if hint.is_none() {
-            self.warm.store_measurement(&slb, measurement);
-        }
+        let measurement = self.tpm.skinit_measure_with_hint(4, &slb, Some(digest))?;
         let tpm_time = self.tpm.take_elapsed();
         let instr_time = self.skinit_cost.cost(slb_len);
         self.clock.advance(tpm_time);
@@ -650,7 +652,7 @@ impl Machine {
         self.cpus = CpuComplex::new(self.cpus.len());
         self.dev = DeviceExclusionVector::new();
         self.active = None;
-        self.invalidate_warm();
+        self.drop_parked_session();
         self.emit(EventKind::Reboot);
     }
 }
@@ -1068,5 +1070,35 @@ mod tests {
                 .any(|v| v.invariant == flicker_trace::audit::Invariant::UnsealWithoutMeasurement),
             "expected unseal-without-measurement violation, got {violations:?}"
         );
+    }
+
+    #[test]
+    fn measurement_memo_is_lru_bounded() {
+        let mut m = Machine::new(MachineConfig::fast_for_tests(1));
+        for i in 0..6u8 {
+            assert_eq!(m.sha1_memoized(&[i]), (sha1(&[i]), false));
+        }
+        // Holds the four newest; a hit refreshes recency.
+        assert_eq!(m.sha1_memoized(&[2]), (sha1(&[2]), true));
+        assert!(!m.sha1_memoized(&[6]).1);
+        assert!(m.sha1_memoized(&[2]).1, "refreshed entry survives");
+        assert!(!m.sha1_memoized(&[3]).1, "least recent entry evicted");
+    }
+
+    #[test]
+    fn reboot_drops_the_parked_session_but_keeps_the_memo() {
+        let mut m = Machine::new(MachineConfig::fast_for_tests(1));
+        let trace = Trace::default();
+        m.set_tracer(trace.clone());
+        m.sha1_memoized(b"image");
+        let session = m.tpm_op(|t| t.oiap(flicker_tpm::WELL_KNOWN_AUTH));
+        m.park_session(session);
+
+        m.reboot();
+        assert!(m.take_parked_session().is_none());
+        assert_eq!(trace.counter("warm.invalidate"), 1);
+        assert!(m.sha1_memoized(b"image").1, "keyed by bytes, never stale");
+        m.reboot();
+        assert_eq!(trace.counter("warm.invalidate"), 1, "nothing to drop");
     }
 }

@@ -15,10 +15,12 @@
 //!   key for command traffic.
 //!
 //! A session stays live across commands when the caller sets
-//! `continueAuthSession` (the §7.6 warm path): the TPM's response carries a
-//! fresh even nonce plus a response HMAC ([`ResponseAuth`]), the client
-//! verifies it with [`ClientSession::absorb_response`] and rolls its own
-//! nonce, and the next command authorizes under the rolled pair. One-shot
+//! `continueAuthSession` (Flicker's PAL context parks one such session per
+//! machine and reuses it across commands and PAL runs, §7.6): the TPM's
+//! response carries a fresh even nonce plus a response HMAC
+//! ([`ResponseAuth`]), the client verifies it with
+//! [`ClientSession::absorb_response`] and rolls its own nonce, and the
+//! next command authorizes under the rolled pair. One-shot
 //! callers pass `continue_session = false` and the TPM evicts the session
 //! with the command — leaving it live with no client half is exactly the
 //! session-table leak this handshake exists to prevent.
@@ -130,8 +132,8 @@ impl ClientSession {
 
     /// The current even nonce. Exposed so clients can derive their odd
     /// nonces deterministically from session state (handle ‖ nonceEven
-    /// rolls every command) without drawing from an application RNG whose
-    /// stream must stay stable across warm and cold runs.
+    /// rolls every command) without drawing from the PAL's RNG, whose
+    /// stream must not depend on auth traffic.
     pub fn nonce_even(&self) -> &Nonce {
         &self.nonce_even
     }

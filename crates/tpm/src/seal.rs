@@ -67,35 +67,10 @@ impl StorageRoot {
         StorageRoot { enc_key, mac_key }
     }
 
-    /// Derives the CTR nonce for a seal deterministically from the sealed
-    /// content (SIV-style: `HMAC(mac_key, sel ‖ digest ‖ auth ‖ data)`).
-    /// Sealing the same payload under the same policy therefore yields a
-    /// byte-identical blob — which is what lets the §7.6 warm path skip a
-    /// redundant re-seal and hand back the cached blob without the caller
-    /// being able to tell the difference. Nonce reuse is harmless here
-    /// precisely because a repeated nonce implies an identical keystream
-    /// input, so no two distinct plaintexts ever share a nonce.
-    pub(crate) fn siv_nonce(
-        &self,
-        data: &[u8],
-        selection: &PcrSelection,
-        digest_at_release: &[u8; 20],
-        blob_auth: &AuthData,
-    ) -> [u8; 8] {
-        let mut h = Hmac::<Sha1>::new(&self.mac_key);
-        h.update(b"seal-siv");
-        h.update(&selection.encode());
-        h.update(digest_at_release);
-        h.update(blob_auth);
-        h.update(data);
-        let v = h.finalize();
-        let mut out = [0u8; 8];
-        out.copy_from_slice(&v[..8]);
-        out
-    }
-
     /// Seals `data` so it is released only when the selected PCRs hash to
     /// `digest_at_release`, and only to a caller proving `blob_auth`.
+    /// `nonce` must never repeat under this root (the TPM passes a
+    /// counter), or two blobs would share a CTR keystream.
     pub(crate) fn seal(
         &self,
         data: &[u8],

@@ -37,9 +37,9 @@ pub struct TpmTimingProfile {
     /// `TPM_LoadKey`-class operations (e.g. loading the AIK before a quote).
     pub load_key: Duration,
     /// `TPM_OIAP`/`TPM_OSAP` session establishment (nonce generation plus a
-    /// session-table slot). Small in absolute terms, but §7.6's warm path
-    /// exists precisely because per-command protocol setup adds up when a
-    /// fresh session is opened for every seal/unseal.
+    /// session-table slot). Paid once per parked session, not per command:
+    /// the PAL context continues one session across commands and PAL runs
+    /// (§7.6), so Table 4's unseal reads 901.0 ms rather than 902.5 ms.
     pub session_start: Duration,
 }
 

@@ -93,10 +93,14 @@ pub struct Tpm {
     /// session. Stale handles must resolve to `InvalidAuthHandle`, never to
     /// somebody else's session.
     next_session_handle: u32,
+    /// CTR nonce for the next `TPM_Seal`. Like `next_session_handle` it
+    /// survives reboots, so no two blobs under the storage root ever share
+    /// a keystream, and it draws nothing from `drbg`.
+    next_seal_nonce: u64,
     /// DRBG dedicated to session nonces. Separate from the main `drbg` so
-    /// the warm path (which skips session opens) does not shift the
-    /// `TPM_GetRandom` stream PAL outputs are derived from — warm on/off
-    /// must be byte-identical at the PAL interface.
+    /// how many sessions a client opens (one per command, or one parked
+    /// across commands) does not shift the `TPM_GetRandom` stream PAL
+    /// outputs are derived from.
     session_drbg: HmacDrbg,
     /// Response authorization produced by the most recent continued-session
     /// command, awaiting pickup via [`Tpm::take_response_auth`].
@@ -134,6 +138,7 @@ impl Tpm {
             counters: Counters::default(),
             sessions: BTreeMap::new(),
             next_session_handle: 0x0200_0000,
+            next_seal_nonce: 0,
             session_drbg,
             pending_response_auth: None,
             loaded_keys: BTreeSet::new(),
@@ -160,7 +165,7 @@ impl Tpm {
     /// NV and persistent keys survive. `next_session_handle` deliberately
     /// does *not* reset (see the field doc): a recovering client holding a
     /// pre-reboot session half gets `InvalidAuthHandle`, never a collision
-    /// with a session opened after the reboot.
+    /// with a session opened after the reboot. Nor does `next_seal_nonce`.
     pub fn reboot(&mut self) {
         self.pcrs = PcrBank::at_reboot();
         self.sessions.clear();
@@ -363,7 +368,7 @@ impl Tpm {
     /// [`Tpm::skinit_measure`] with an optional precomputed SLB digest.
     ///
     /// The hint is a *simulator* shortcut, not a trust decision: the
-    /// machine's warm cache memoizes SHA-1 over the exact image bytes it
+    /// machine's measurement memo keys SHA-1 by the exact image bytes it
     /// hands us, so passing the memoized digest skips redundant host-side
     /// hashing work while the simulated PCR-17 chain (reset, extend,
     /// charged SKINIT transfer cost) is identical either way. A real chip
@@ -484,8 +489,8 @@ impl Tpm {
     }
 
     /// Number of live server-side authorization sessions. Regression
-    /// surface for the session-table leak: a well-behaved client keeps this
-    /// at most one per cached warm session.
+    /// surface for the session-table leak: a well-behaved client keeps
+    /// at most one, the session it parks between commands.
     pub fn open_session_count(&self) -> usize {
         self.sessions.len()
     }
@@ -600,12 +605,8 @@ impl Tpm {
         }
         let param_digest = Self::param_digest(&[b"TPM_Seal", data, &selection.encode(), &digest]);
         self.verify_auth(&self.srk_auth(), &param_digest, auth)?;
-        // SIV-style deterministic nonce: identical (data, policy, auth)
-        // seals to a byte-identical blob, which is what makes the §7.6
-        // re-seal skip indistinguishable from a real re-seal.
-        let nonce = self
-            .storage_root
-            .siv_nonce(data, selection, &digest, blob_auth);
+        let nonce = self.next_seal_nonce.to_be_bytes();
+        self.next_seal_nonce += 1;
         let blob = self
             .storage_root
             .seal(data, selection, digest, blob_auth, nonce);
@@ -1185,16 +1186,25 @@ mod tests {
     }
 
     #[test]
-    fn sealing_same_payload_twice_is_byte_identical() {
-        // SIV nonce: the §7.6 re-seal skip depends on the cached blob being
-        // indistinguishable from a fresh one.
+    fn every_seal_takes_a_fresh_nonce_outside_the_random_stream() {
+        // TPM 1.2 sealed blobs are randomized: re-sealing one payload under
+        // one policy gives a new blob, even across a reboot.
         let mut t = tpm();
         let sel = PcrSelection::pcr17();
         let a = authorize_seal(&mut t, b"same", &sel, [3; 20]);
         let b = authorize_seal(&mut t, b"same", &sel, [3; 20]);
-        assert_eq!(a.as_bytes(), b.as_bytes());
-        let c = authorize_seal(&mut t, b"diff", &sel, [3; 20]);
+        t.reboot();
+        let c = authorize_seal(&mut t, b"same", &sel, [3; 20]);
+        assert_ne!(a.as_bytes(), b.as_bytes());
+        assert_ne!(a.as_bytes(), c.as_bytes());
         assert_ne!(b.as_bytes(), c.as_bytes());
+        for blob in [&a, &b, &c] {
+            assert_eq!(authorize_unseal(&mut t, blob, [3; 20]).unwrap(), b"same");
+        }
+        // The nonce is not drawn from the TPM_GetRandom stream, which PAL
+        // RNG seeds (and so their RSA key searches) come from.
+        let mut untouched = tpm();
+        assert_eq!(t.get_random(32), untouched.get_random(32));
     }
 
     #[test]

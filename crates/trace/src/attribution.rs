@@ -15,8 +15,6 @@
 //!   worker's between-attempt backoff) — so the categories sum to the
 //!   attempt wall delimited by the shard's `attempt_start`/`attempt_end`
 //!   markers, and request coverage is 1.0 up to charge rounding.
-//!   `warm_saved.*` charges are *estimates of avoided work* (§7.6 cache
-//!   hits); they are reported separately and never count toward wall time.
 //!   Per-ordinal [`EventKind::TpmCommand`] durations are a drill-down
 //!   *within* the `tpm` category, not an addition to it.
 //! * **A farm-wide timeline** ([`merge_timeline`]): per-shard virtual
@@ -58,10 +56,6 @@ pub mod categories {
     pub const TPM_BACKOFF: &str = "tpm_backoff";
     /// Farm worker backoff between failed attempts.
     pub const RETRY_BACKOFF: &str = "retry_backoff";
-    /// Prefix for avoided-work estimates from §7.6 warm-path cache hits
-    /// (`warm_saved.seal`, `warm_saved.oiap`). Reported separately; never
-    /// part of wall time.
-    pub const WARM_SAVED_PREFIX: &str = "warm_saved.";
 
     /// Every on-shard category (excludes `QUEUE_WAIT`, which is measured
     /// at the coordinator).
@@ -123,8 +117,6 @@ pub struct RequestAttribution {
     pub queue_wait: Duration,
     /// Per-attempt breakdowns, in attempt order.
     pub attempts: Vec<AttemptBreakdown>,
-    /// Avoided-work estimates from warm-path cache hits, by kind.
-    pub warm_saved: BTreeMap<String, Duration>,
     /// Whether the coordinator recorded a `done` terminal for the request.
     pub done: bool,
 }
@@ -191,17 +183,6 @@ impl FarmAttribution {
         for r in &self.requests {
             for (k, v) in r.category_totals() {
                 *totals.entry(k).or_default() += v;
-            }
-        }
-        totals
-    }
-
-    /// Farm-wide warm-savings totals by kind.
-    pub fn warm_saved_totals(&self) -> BTreeMap<String, Duration> {
-        let mut totals: BTreeMap<String, Duration> = BTreeMap::new();
-        for r in &self.requests {
-            for (k, v) in &r.warm_saved {
-                *totals.entry(k.clone()).or_default() += *v;
             }
         }
         totals
@@ -281,19 +262,8 @@ pub fn attribute(coordinator: &[Event], shards: &[ShardStream]) -> FarmAttributi
                     a.wall += e.at.saturating_sub(started);
                 }
                 EventKind::Charge { op, ns } => {
-                    let d = Duration::from_nanos(*ns);
-                    if let Some(kind) = op.strip_prefix(categories::WARM_SAVED_PREFIX) {
-                        let r = reqs
-                            .entry(ctx.request)
-                            .or_insert_with(|| RequestAttribution {
-                                request: ctx.request,
-                                ..RequestAttribution::default()
-                            });
-                        *r.warm_saved.entry(kind.to_string()).or_default() += d;
-                    } else {
-                        let a = attempt_entry(&mut reqs, ctx, shard.machine);
-                        *a.by_category.entry(op.clone()).or_default() += d;
-                    }
+                    let a = attempt_entry(&mut reqs, ctx, shard.machine);
+                    *a.by_category.entry(op.clone()).or_default() += Duration::from_nanos(*ns);
                 }
                 EventKind::TpmCommand {
                     ordinal, dur_ns, ..
@@ -620,7 +590,6 @@ mod tests {
                     1,
                 ),
                 charge(ms(109), "skinit", ms(1).as_nanos() as u64, 1, 1),
-                charge(ms(110), "warm_saved.seal", ms(4).as_nanos() as u64, 1, 1),
                 ctxed(farm(ms(110), "attempt_end", 1, 0), 1, 1),
             ],
         };
@@ -640,7 +609,6 @@ mod tests {
         assert_eq!(r.unattributed(), Duration::ZERO);
         assert!((r.coverage() - 1.0).abs() < 1e-12, "{}", r.coverage());
         assert!(r.done);
-        assert_eq!(r.warm_saved.get("seal"), Some(&ms(4)));
         let a = &r.attempts[0];
         assert_eq!(a.tpm_ordinals.get("TPM_Seal"), Some(&ms(6)));
         assert_eq!(

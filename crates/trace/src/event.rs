@@ -109,9 +109,8 @@ pub enum EventKind {
     },
     /// Virtual time charged against the active request under a named
     /// attribution category (`cpu`, `tpm`, `net`, `skinit`, `tpm_backoff`,
-    /// `retry_backoff`) or a `warm_saved.*` estimate (reported separately,
-    /// not part of wall time). Emitted only while a [`RequestCtx`] is in
-    /// force, so idle shards and provisioning stay cheap.
+    /// `retry_backoff`). Emitted only while a [`RequestCtx`] is in force,
+    /// so idle shards and provisioning stay cheap.
     Charge {
         /// Attribution category the time belongs to.
         op: String,

@@ -317,12 +317,12 @@ mod tests {
         // span names); every exposed metric must be Prometheus-legal:
         // [a-zA-Z_:][a-zA-Z0-9_:]*.
         let t = Trace::new();
-        t.counter_add("warm.seal-memo.hit", 1);
+        t.counter_add("tpm.nv-write.retry", 1);
         t.counter_add("net.rtt-samples", 2);
         t.observe("phase.seal-unseal", Duration::from_micros(7));
         let text = prometheus_text(&t);
         assert!(
-            text.contains("flicker_warm_seal_memo_hit_total 1"),
+            text.contains("flicker_tpm_nv_write_retry_total 1"),
             "{text}"
         );
         assert!(text.contains("flicker_net_rtt_samples_total 2"), "{text}");

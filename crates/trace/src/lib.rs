@@ -111,27 +111,40 @@ struct Inner {
 
 impl Default for Inner {
     fn default() -> Inner {
+        Inner::with_event_capacity(DEFAULT_EVENT_CAPACITY)
+    }
+}
+
+impl Inner {
+    /// An empty recorder whose ring has all `event_capacity` slots
+    /// allocated up front, so filling it never reallocates.
+    fn with_event_capacity(event_capacity: usize) -> Inner {
         Inner {
             spans: Vec::new(),
             open: Vec::new(),
             counters: BTreeMap::new(),
             histograms: BTreeMap::new(),
-            events: VecDeque::new(),
-            event_capacity: DEFAULT_EVENT_CAPACITY,
+            events: VecDeque::with_capacity(event_capacity),
+            event_capacity,
             next_session_id: 0,
             current_ctx: None,
         }
     }
-}
 
-impl Inner {
-    /// Evicts oldest events until `len <= event_capacity`, counting drops.
-    fn enforce_event_capacity(&mut self) {
-        while self.events.len() > self.event_capacity {
+    /// Evicts oldest events until at most `keep` remain, counting drops.
+    fn evict_to(&mut self, keep: usize) {
+        while self.events.len() > keep {
             self.events.pop_front();
             let c = self.counters.entry(DROPPED_EVENTS_COUNTER).or_insert(0);
             *c = c.saturating_add(1);
         }
+    }
+
+    /// Appends an event, evicting the oldest first when the ring is full,
+    /// so the ring never outgrows its allocation.
+    fn push_event(&mut self, event: Event) {
+        self.evict_to(self.event_capacity - 1);
+        self.events.push_back(event);
     }
 }
 
@@ -243,8 +256,7 @@ impl Trace {
     pub fn event(&self, at: Duration, kind: EventKind) {
         let mut inner = self.lock();
         let ctx = inner.current_ctx;
-        inner.events.push_back(Event { at, kind, ctx });
-        inner.enforce_event_capacity();
+        inner.push_event(Event { at, kind, ctx });
     }
 
     /// Sets (or with `None`, clears) the request context stamped onto every
@@ -276,12 +288,11 @@ impl Trace {
             return;
         }
         let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        inner.events.push_back(Event {
+        inner.push_event(Event {
             at,
             kind: EventKind::Charge { op: op.into(), ns },
             ctx: Some(ctx),
         });
-        inner.enforce_event_capacity();
     }
 
     /// Snapshot of the flight-recorder ring buffer, oldest first.
@@ -294,13 +305,18 @@ impl Trace {
         self.lock().events.len()
     }
 
-    /// Changes the ring-buffer bound. Shrinking below the current length
-    /// evicts the oldest events (counted as drops). A capacity of 0 keeps
-    /// room for a single event, the smallest useful flight record.
+    /// Changes the ring-buffer bound and allocates (or releases) the
+    /// ring's slots to match. Shrinking below the current length evicts
+    /// the oldest events (counted as drops). A capacity of 0 keeps room for
+    /// a single event, the smallest useful flight record.
     pub fn set_event_capacity(&self, capacity: usize) {
         let mut inner = self.lock();
-        inner.event_capacity = capacity.max(1);
-        inner.enforce_event_capacity();
+        let capacity = capacity.max(1);
+        inner.event_capacity = capacity;
+        inner.evict_to(capacity);
+        let len = inner.events.len();
+        inner.events.reserve_exact(capacity - len);
+        inner.events.shrink_to(capacity);
     }
 
     /// Allocates the next session id (1, 2, …) for `SessionStart` events.
@@ -345,11 +361,7 @@ impl Trace {
     /// The configured event capacity survives the reset.
     pub fn reset(&self) {
         let mut inner = self.lock();
-        let capacity = inner.event_capacity;
-        *inner = Inner {
-            event_capacity: capacity,
-            ..Inner::default()
-        };
+        *inner = Inner::with_event_capacity(inner.event_capacity);
     }
 }
 
@@ -372,6 +384,29 @@ mod tests {
 
     fn us(n: u64) -> Duration {
         Duration::from_micros(n)
+    }
+
+    #[test]
+    fn event_ring_is_allocated_up_front() {
+        let slots = |t: &Trace| t.lock().events.capacity();
+        let t = Trace::new();
+        let reserved = slots(&t);
+        assert!(reserved >= DEFAULT_EVENT_CAPACITY, "reserved at creation");
+        for i in 0..=DEFAULT_EVENT_CAPACITY as u64 {
+            t.event(us(i), EventKind::Reboot);
+        }
+        assert_eq!(t.dropped_events(), 1);
+        assert_eq!(slots(&t), reserved, "a full ring never reallocates");
+
+        t.set_event_capacity(100);
+        let reserved = slots(&t);
+        assert!((100..DEFAULT_EVENT_CAPACITY).contains(&reserved));
+        for i in 0..250 {
+            t.event(us(i), EventKind::Reboot);
+            assert_eq!(slots(&t), reserved, "ring grew at event {i}");
+        }
+        t.reset();
+        assert_eq!(slots(&t), reserved, "reset reserves the configured ring");
     }
 
     #[test]

@@ -51,12 +51,6 @@ cargo run --release -p flicker-bench --bin farm_bench -- --quick \
 # standalone tool reaches the same verdict as the live run.
 cargo run --release -p flicker-bench --bin flicker_trace_tool -- \
   attribute --from target/farm_flight_quick
-# Warm-path gate (§7.6): a quick cold-vs-warm run must show the warm p50
-# strictly below the cold p50, leak zero auth sessions, keep every flight
-# record audit-clean, and not regress against the committed warm baseline.
-cargo run --release -p flicker-bench --bin warm_bench -- --quick \
-  --trajectory target/BENCH_trajectory_quick.jsonl \
-  --check BENCH_warm_baseline.json
 # Dashboard gate: the committed trajectory must still render (regenerated
 # under target/ so the committed docs/bench/ artifact stays full-run only).
 cargo run --release -p flicker-bench --bin trajectory_dashboard -- \
