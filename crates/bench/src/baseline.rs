@@ -9,13 +9,18 @@
 //! * **per-TPM-ordinal** command latency percentiles (`tpm.TPM_*`
 //!   histograms recorded by the TPM driver),
 //! * **per-application** end-to-end iteration latency, and
-//! * every counter the tracer collected (retries, DEV ops, zeroized bytes).
+//! * every counter the tracer collected (retries, DEV ops, zeroized bytes),
+//!   and
+//! * the profile fields ([`crate::profile::fields`]): where the virtual
+//!   time went, as folded stacks and their shares of the total.
 //!
 //! The report is emitted as `BENCH_perf_baseline.json` with schema
 //! [`SCHEMA`]; [`validate`] checks a parsed document against that schema so
-//! CI can reject a malformed or under-sampled baseline.
+//! CI can reject a malformed or under-sampled baseline, and
+//! [`audit_flight`] replays the run's flight record through the auditor.
 
 use crate::json::Value;
+use crate::profile::MAX_RECONCILIATION_ERROR;
 use crate::{eval_os, faultsweep::APPS, provisioned_eval_os};
 use flicker_apps::{
     known_good_hash, Administrator, BoincClient, Csr, FlickerCa, IssuancePolicy, PasswdEntry,
@@ -29,13 +34,13 @@ use flicker_crypto::rng::XorShiftRng;
 use flicker_crypto::RsaPrivateKey;
 use flicker_os::{NetLink, Os};
 use flicker_tpm::SealedBlob;
-use flicker_trace::{DurationHistogram, Trace};
+use flicker_trace::{audit, DurationHistogram, Trace};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Schema identifier stamped into (and required of) every baseline file.
-pub const SCHEMA: &str = "flicker-perf-baseline/v1";
+pub const SCHEMA: &str = "flicker-perf-baseline/v2";
 
 /// A full (non-quick) baseline must cover at least this many sessions.
 pub const MIN_FULL_SESSIONS: u64 = 200;
@@ -392,7 +397,7 @@ fn report(
         .map(|(k, v)| (k.to_string(), Value::Number(v as f64)))
         .collect();
 
-    Value::Object(BTreeMap::from([
+    let mut doc = BTreeMap::from([
         ("schema".into(), Value::String(SCHEMA.into())),
         ("quick".into(), Value::Bool(cfg.quick)),
         (
@@ -405,7 +410,9 @@ fn report(
         ("tpm".into(), Value::Object(tpm)),
         ("ops".into(), Value::Object(ops)),
         ("counters".into(), Value::Object(counters)),
-    ]))
+    ]);
+    doc.extend(crate::profile::fields(trace));
+    Value::Object(doc)
 }
 
 fn check_stats(doc: &Value, section: &str, key: &str) -> Result<u64, String> {
@@ -485,7 +492,67 @@ pub fn validate(doc: &Value) -> Result<u64, String> {
     doc.get("counters")
         .and_then(Value::as_object)
         .ok_or("counters section missing")?;
+
+    let num = |key: &str| {
+        doc.get(key)
+            .and_then(Value::as_number)
+            .ok_or_else(|| format!("{key} missing or not a number"))
+    };
+    for key in ["total_ms", "session_total_ms"] {
+        let v = num(key)?;
+        if !v.is_finite() || v <= 0.0 {
+            return Err(format!("{key} = {v} (no recorded time)"));
+        }
+    }
+    let recon = num("reconciliation_error")?;
+    if !(0.0..=MAX_RECONCILIATION_ERROR).contains(&recon) {
+        return Err(format!(
+            "reconciliation error {recon} exceeds {MAX_RECONCILIATION_ERROR}"
+        ));
+    }
+    let stacks = doc
+        .get("stacks")
+        .and_then(Value::as_object)
+        .ok_or("stacks section missing")?;
+    if stacks.is_empty() {
+        return Err("stacks section is empty".into());
+    }
+    let mut share_sum = 0.0;
+    for (path, entry) in stacks {
+        let share = entry
+            .get("share")
+            .and_then(Value::as_number)
+            .ok_or_else(|| format!("stacks[{path:?}].share missing"))?;
+        if !(0.0..=1.0).contains(&share) {
+            return Err(format!("stacks[{path:?}].share = {share} out of range"));
+        }
+        share_sum += share;
+    }
+    // Shares sum to 1 minus the clamping loss — already bounded above.
+    if !((1.0 - MAX_RECONCILIATION_ERROR)..=1.0 + 1e-9).contains(&share_sum) {
+        return Err(format!(
+            "stack shares sum to {share_sum:.4}, not ~1 (weights don't \
+             reconcile with the profile total)"
+        ));
+    }
     Ok(sessions)
+}
+
+/// The runner's audit step: replays the whole flight record through the
+/// truncation-aware auditor ([`audit::audit_trace`]). A flight that broke
+/// a Figure-2/§4 invariant, or that the ring buffer could not hold (an
+/// `Inconclusive` verdict), is an error naming the verdict and its first
+/// violation. Returns the number of events audited.
+pub fn audit_flight(trace: &Trace) -> Result<usize, String> {
+    let verdict = audit::audit_trace(trace);
+    if verdict.is_clean() {
+        return Ok(trace.event_count());
+    }
+    let mut msg = format!("trace audit {verdict}");
+    if let Some(first) = verdict.violations().first() {
+        msg.push_str(&format!("; first: {first}"));
+    }
+    Err(msg)
 }
 
 #[cfg(test)]
@@ -558,11 +625,57 @@ mod tests {
             m.insert("sessions".into(), Value::Number(9999.0));
         });
         assert!(validate(&bad).is_err());
+
+        // Profile weights that no longer reconcile.
+        let bad = corrupt(&|m| {
+            m.insert("reconciliation_error".into(), Value::Number(0.02));
+        });
+        assert!(validate(&bad).unwrap_err().contains("reconciliation"));
+
+        // A vanished stack breaks the share sum.
+        let bad = corrupt(&|m| {
+            let Some(Value::Object(stacks)) = m.get_mut("stacks") else {
+                unreachable!()
+            };
+            let heaviest = stacks
+                .iter()
+                .max_by(|a, b| {
+                    let s = |e: &Value| e.get("share").and_then(Value::as_number).unwrap_or(0.0);
+                    s(a.1).total_cmp(&s(b.1))
+                })
+                .map(|(k, _)| k.clone())
+                .unwrap();
+            stacks.remove(&heaviest);
+        });
+        assert!(validate(&bad).unwrap_err().contains("shares sum"));
+
+        // A profile with no time at all.
+        let bad = corrupt(&|m| {
+            m.remove("total_ms");
+        });
+        assert!(validate(&bad).unwrap_err().contains("total_ms"));
+    }
+
+    #[test]
+    fn a_truncated_flight_fails_the_audit_step() {
+        let roomy = Trace::new();
+        run_storage(&roomy, 1);
+        assert_eq!(audit_flight(&roomy), Ok(roomy.event_count()));
+
+        // The same flight through a ring too small to hold it: what is
+        // left replays clean, so only truncation awareness can fail it.
+        let small = Trace::new();
+        small.set_event_capacity(8);
+        run_storage(&small, 1);
+        assert!(small.dropped_events() > 0);
+        assert!(audit::audit_events(&small.events()).is_empty());
+        let err = audit_flight(&small).unwrap_err();
+        assert!(err.contains("inconclusive"), "{err}");
     }
 
     #[test]
     fn quick_baseline_trace_exports_and_audits_clean() {
-        use flicker_trace::{audit, export, DROPPED_EVENTS_COUNTER};
+        use flicker_trace::{export, DROPPED_EVENTS_COUNTER};
 
         let cfg = BaselineConfig::quick();
         let (doc, trace) = run_baseline_traced(&cfg);
@@ -598,7 +711,7 @@ mod tests {
         // The acceptance bar: every application's normal sessions replay
         // through the auditor with zero invariant violations, and the
         // quick run fits the ring buffer (nothing dropped).
-        assert_eq!(audit::audit_events(&events), vec![]);
+        assert_eq!(audit_flight(&trace), Ok(events.len()));
         assert_eq!(trace.counter(DROPPED_EVENTS_COUNTER), 0);
     }
 }

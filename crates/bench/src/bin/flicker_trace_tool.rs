@@ -9,8 +9,6 @@
 //! flicker_trace_tool critical-path [--quick]
 //! flicker_trace_tool attribute [--quick | --from DIR]
 //! flicker_trace_tool farm-timeline [--quick | --from DIR] [--limit N]
-//! flicker_trace_tool profile [--quick] [--json] [--out PATH]
-//! flicker_trace_tool profile --check PATH [--quick]
 //! flicker_trace_tool flamegraph [--quick] [--format folded|chrome]
 //!                               [--out PATH] [--diff PATH]
 //! ```
@@ -29,7 +27,6 @@
 
 use flicker_bench::baseline::{run_baseline_traced, BaselineConfig};
 use flicker_bench::farmattr::{self, FarmFlight};
-use flicker_bench::profile as bench_profile;
 use flicker_bench::{json, print_table};
 use flicker_farm::{Farm, FarmConfig, RequestSpec};
 use flicker_trace::profile as trace_profile;
@@ -52,7 +49,6 @@ fn main() -> ExitCode {
         "critical-path" => cmd_critical_path(&args),
         "attribute" => cmd_attribute(&args),
         "farm-timeline" => cmd_farm_timeline(&args),
-        "profile" => cmd_profile(&args),
         "flamegraph" => cmd_flamegraph(&args),
         other => usage(&format!("unknown subcommand {other:?}")),
     }
@@ -70,7 +66,6 @@ fn usage(err: &str) -> ExitCode {
          \x20 critical-path [--quick]\n\
          \x20 attribute     [--quick | --from DIR]\n\
          \x20 farm-timeline [--quick | --from DIR] [--limit N]\n\
-         \x20 profile       [--quick] [--json] [--out PATH] [--check PATH]\n\
          \x20 flamegraph    [--quick] [--format folded|chrome] [--out PATH]\n\
          \x20               [--diff PATH]"
     );
@@ -458,95 +453,7 @@ fn cmd_critical_path(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-// ----- profile / flamegraph -------------------------------------------------
-
-/// Records a flight and builds its profile-baseline document + tree.
-fn profiled_flight(quick: bool) -> (json::Value, trace_profile::Profile) {
-    let trace = record_flight(quick);
-    bench_profile::report_with_profile(quick, &trace)
-}
-
-fn cmd_profile(args: &[String]) -> ExitCode {
-    let mut quick = false;
-    let mut json_out = false;
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--json" => json_out = true,
-            "--out" => match it.next() {
-                Some(p) => out = Some(p.clone()),
-                None => return usage("--out needs a path"),
-            },
-            "--check" => match it.next() {
-                Some(p) => check = Some(p.clone()),
-                None => return usage("--check needs a path"),
-            },
-            other => return usage(&format!("unknown profile argument {other:?}")),
-        }
-    }
-
-    if let Some(path) = check {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("reading {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = match json::parse(&text) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("{path} is not valid JSON: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let (current, _) = profiled_flight(quick);
-        return match bench_profile::compare(&baseline, &current) {
-            Ok(notes) => {
-                for n in &notes {
-                    eprintln!("drift (within gate): {n}");
-                }
-                println!(
-                    "profile check passed: attribution ≥ {:.0}% on gated ordinals, \
-                     stack shares within {:.0}pp of {path}",
-                    bench_profile::MIN_ATTRIBUTED_FRACTION * 100.0,
-                    bench_profile::MAX_SHARE_DRIFT * 100.0,
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("PROFILE GATE: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let (doc, profile) = profiled_flight(quick);
-    if let Err(e) = reconcile(&profile) {
-        eprintln!("PROFILE GATE: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = bench_profile::validate(&doc) {
-        eprintln!("PROFILE GATE: {e}");
-        return ExitCode::FAILURE;
-    }
-    if json_out {
-        println!("{}", doc.to_pretty());
-    } else {
-        print_profile_summary(&doc, &profile);
-    }
-    if let Some(path) = out {
-        if let Err(e) = std::fs::write(&path, doc.to_pretty()) {
-            eprintln!("writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-    }
-    ExitCode::SUCCESS
-}
+// ----- flamegraph ---------------------------------------------------------
 
 /// The 1 % gate: collapsed-stack weights must sum back to the profile's
 /// inclusive total, and the merged session root must carry the sessions'
@@ -569,62 +476,6 @@ fn reconcile(profile: &trace_profile::Profile) -> Result<(), String> {
         return Err("no session windows in the profile".into());
     }
     Ok(())
-}
-
-fn print_profile_summary(doc: &json::Value, profile: &trace_profile::Profile) {
-    let total = profile.total();
-    let session = profile.session_total();
-    let rows: Vec<Vec<String>> = profile
-        .top_self(12)
-        .into_iter()
-        .map(|(path, ns)| {
-            let share = ns as f64 / (total.as_nanos() as f64).max(1.0) * 100.0;
-            vec![
-                path,
-                format!("{:.1}", ns as f64 / 1e6),
-                format!("{share:.1}%"),
-            ]
-        })
-        .collect();
-    print_table(
-        "Hottest stacks (self time)",
-        &["stack", "self_ms", "share"],
-        &rows,
-    );
-
-    if let Some(attr) = doc.get("attribution").and_then(json::Value::as_object) {
-        let rows: Vec<Vec<String>> = attr
-            .iter()
-            .map(|(ordinal, e)| {
-                let cell = |k: &str| {
-                    e.get(k)
-                        .and_then(json::Value::as_number)
-                        .map_or_else(|| "-".into(), |v| format!("{v:.2}"))
-                };
-                let frac = e
-                    .get("fraction")
-                    .and_then(json::Value::as_number)
-                    .unwrap_or(0.0);
-                vec![
-                    ordinal.clone(),
-                    cell("charged_ms"),
-                    cell("attributed_ms"),
-                    format!("{:.1}%", frac * 100.0),
-                ]
-            })
-            .collect();
-        print_table(
-            "Crypto cost model: per-ordinal attribution",
-            &["ordinal", "charged_ms", "attributed_ms", "fraction"],
-            &rows,
-        );
-    }
-    println!(
-        "\nprofile total: {:.1} ms ({:.1} ms in sessions); reconciliation loss {:.4}%",
-        total.as_secs_f64() * 1e3,
-        session.as_secs_f64() * 1e3,
-        profile.reconciliation_error() * 100.0,
-    );
 }
 
 fn cmd_flamegraph(args: &[String]) -> ExitCode {

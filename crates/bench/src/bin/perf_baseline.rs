@@ -1,20 +1,25 @@
-//! Perf-baseline harness: runs every §6 application under the trace
-//! recorder and emits aggregated per-phase / per-TPM-ordinal / per-app
-//! latency percentiles as `BENCH_perf_baseline.json`.
+//! Perf-baseline runner: runs every §6 application under the trace
+//! recorder and emits one report, `BENCH_perf_baseline.json`: per-phase /
+//! per-TPM-ordinal / per-app latency percentiles plus the profile's
+//! folded stacks and their shares of the total virtual time.
 //!
 //! ```text
-//! perf_baseline [--quick] [--out PATH] [--audit] [--trajectory PATH]
-//! perf_baseline --check PATH             # validate an existing report
+//! perf_baseline [--quick] [--out PATH] [--trajectory PATH] [--check PATH]
 //! ```
 //!
-//! Every run (other than `--check`) also appends a one-line JSONL summary
-//! to the trajectory file (default `BENCH_trajectory.jsonl`) so latency
-//! drift across commits is diffable without re-running old revisions.
+//! Every run records one flight, builds the report, validates it, and
+//! audits the flight (a truncated flight fails). `--check PATH` also
+//! validates the report at PATH and fails if any stack's share drifted
+//! from it (`flicker_bench::profile::share_drift`). The run then prints
+//! its tables, writes `--out`, and appends a one-line JSONL summary to the
+//! trajectory file (default `BENCH_trajectory.jsonl`) so latency and
+//! profile drift across commits is diffable without re-running old
+//! revisions.
 
-use flicker_bench::baseline::{run_baseline_traced, validate, BaselineConfig};
+use flicker_bench::baseline::{audit_flight, run_baseline_traced, validate, BaselineConfig};
 use flicker_bench::json::{self, Value};
 use flicker_bench::print_table;
-use flicker_trace::audit;
+use flicker_bench::profile::{share_drift, stack_shares, trajectory_extension, MAX_SHARE_DRIFT};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -22,14 +27,12 @@ fn main() -> ExitCode {
     let mut quick = false;
     let mut out = String::from("BENCH_perf_baseline.json");
     let mut trajectory = String::from("BENCH_trajectory.jsonl");
-    let mut audit_run = false;
     let mut check: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--audit" => audit_run = true,
             "--out" => match args.next() {
                 Some(path) => out = path,
                 None => return usage("--out needs a path"),
@@ -44,10 +47,6 @@ fn main() -> ExitCode {
             },
             other => return usage(&format!("unknown argument {other:?}")),
         }
-    }
-
-    if let Some(path) = check {
-        return check_file(&path);
     }
 
     let cfg = if quick {
@@ -68,49 +67,60 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if audit_run {
-        let events = trace.events();
-        let violations = audit::audit_events(&events);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("VIOLATION {v}");
-            }
-            eprintln!(
-                "trace audit failed: {} violation(s) over {} events",
-                violations.len(),
-                events.len()
-            );
+    match audit_flight(&trace) {
+        Ok(n) => eprintln!("trace audit clean: {n} events satisfy every Figure-2/§4 invariant"),
+        Err(e) => {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
-        eprintln!(
-            "trace audit clean: {} events satisfy every Figure-2/§4 invariant",
-            events.len()
-        );
     }
-    let profile_doc = flicker_bench::profile::report(cfg.quick, &trace);
-    if let Err(e) = flicker_bench::profile::validate(&profile_doc) {
-        eprintln!("profile extension failed validation: {e}");
-        return ExitCode::FAILURE;
+    if let Some(path) = check {
+        if let Err(e) = check_against(&path, &doc) {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     }
+    print_summary(&doc);
     if let Err(e) = std::fs::write(&out, doc.to_pretty()) {
         eprintln!("writing {out}: {e}");
         return ExitCode::FAILURE;
     }
-    if let Err(e) = append_trajectory(&trajectory, &doc, &profile_doc, sessions) {
+    if let Err(e) = append_trajectory(&trajectory, &doc, sessions) {
         eprintln!("appending {trajectory}: {e}");
         return ExitCode::FAILURE;
     }
-    print_summary(&doc);
     eprintln!("\nwrote {out} ({sessions} sessions); appended {trajectory}");
     ExitCode::SUCCESS
 }
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}");
-    eprintln!(
-        "usage: perf_baseline [--quick] [--out PATH] [--audit] [--trajectory PATH] [--check PATH]"
-    );
+    eprintln!("usage: perf_baseline [--quick] [--out PATH] [--trajectory PATH] [--check PATH]");
     ExitCode::FAILURE
+}
+
+/// Validates the committed report at `path` and compares the fresh
+/// report's stack shares against it.
+fn check_against(path: &str, doc: &Value) -> Result<(), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let baseline = json::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))?;
+    let sessions = validate(&baseline).map_err(|e| format!("{path} failed validation: {e}"))?;
+    let issues = share_drift(&stack_shares(&baseline), &stack_shares(doc));
+    if !issues.is_empty() {
+        for issue in &issues {
+            eprintln!("DRIFT {issue}");
+        }
+        return Err(format!(
+            "profile drift vs {path}: {} violation(s)",
+            issues.len()
+        ));
+    }
+    eprintln!(
+        "{path}: schema-valid baseline covering {sessions} sessions; stack shares within \
+         {:.0}pp",
+        MAX_SHARE_DRIFT * 100.0
+    );
+    Ok(())
 }
 
 /// Best-effort current commit for trajectory lines; benches must run in
@@ -128,14 +138,9 @@ fn current_commit() -> String {
 }
 
 /// Appends one JSONL summary line (commit, quick, sessions, per-app
-/// p50/p95, plus the compact `profile` cost-attribution extension) to
-/// the trajectory file, creating it if absent.
-fn append_trajectory(
-    path: &str,
-    doc: &Value,
-    profile_doc: &Value,
-    sessions: u64,
-) -> Result<(), String> {
+/// p50/p95, plus the compact `profile` extension) to the trajectory file,
+/// creating it if absent.
+fn append_trajectory(path: &str, doc: &Value, sessions: u64) -> Result<(), String> {
     let mut apps = BTreeMap::new();
     if let Some(entries) = doc.get("apps").and_then(Value::as_object) {
         for (name, stats) in entries {
@@ -161,10 +166,7 @@ fn append_trajectory(
         ),
         ("sessions".into(), Value::Number(sessions as f64)),
         ("apps".into(), Value::Object(apps)),
-        (
-            "profile".into(),
-            flicker_bench::profile::trajectory_extension(profile_doc),
-        ),
+        ("profile".into(), trajectory_extension(doc)),
     ]));
     let mut text = line.to_compact();
     text.push('\n');
@@ -177,34 +179,7 @@ fn append_trajectory(
     f.write_all(text.as_bytes()).map_err(|e| e.to_string())
 }
 
-fn check_file(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("reading {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc = match json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("{path} is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match validate(&doc) {
-        Ok(sessions) => {
-            println!("{path}: schema-valid baseline covering {sessions} sessions");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{path} failed validation: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Prints one aligned table per report section.
+/// Prints one aligned table per latency section, then the hottest stacks.
 fn print_summary(doc: &Value) {
     for (section, title) in [
         ("phases", "Per-phase latency (ms)"),
@@ -240,4 +215,36 @@ fn print_summary(doc: &Value) {
             &rows,
         );
     }
+
+    let number = |v: &Value, key: &str| v.get(key).and_then(Value::as_number).unwrap_or(0.0);
+    let mut stacks: Vec<(&String, f64, f64)> = doc
+        .get("stacks")
+        .and_then(Value::as_object)
+        .into_iter()
+        .flatten()
+        .map(|(path, e)| (path, number(e, "self_ms"), number(e, "share")))
+        .collect();
+    stacks.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(b.0)));
+    let rows: Vec<Vec<String>> = stacks
+        .into_iter()
+        .take(12)
+        .map(|(path, self_ms, share)| {
+            vec![
+                path.clone(),
+                format!("{self_ms:.1}"),
+                format!("{:.1}%", share * 100.0),
+            ]
+        })
+        .collect();
+    print_table(
+        "Hottest stacks (self time)",
+        &["stack", "self_ms", "share"],
+        &rows,
+    );
+    println!(
+        "\nprofile total: {:.1} ms ({:.1} ms in sessions); reconciliation loss {:.4}%",
+        number(doc, "total_ms"),
+        number(doc, "session_total_ms"),
+        number(doc, "reconciliation_error") * 100.0,
+    );
 }

@@ -9,11 +9,11 @@
 //! ```
 //!
 //! `--check-drift` renders nothing: it walks consecutive trajectory
-//! entries carrying the `profile` cost-attribution extension and fails
-//! if any gated ordinal's attributed fraction or any top stack's share
-//! moved by more than [`flicker_bench::profile::MAX_SHARE_DRIFT`]
-//! between adjacent same-quickness runs — cost *drift* caught in CI even
-//! when absolute latency gates still pass.
+//! entries carrying the `profile` extension and fails if the top stacks'
+//! shares of adjacent same-quickness runs break the share-drift rule
+//! [`flicker_bench::profile::share_drift`] (the one `perf_baseline
+//! --check` applies) — cost *drift* caught in CI even when absolute
+//! latency gates still pass.
 //!
 //! Defaults read `BENCH_trajectory.jsonl` and write `docs/bench/`. Quick
 //! runs are skipped by default (the committed trajectory only carries
@@ -31,6 +31,7 @@
 //! zero.
 
 use flicker_bench::json::{self, Value};
+use flicker_bench::profile::{share_drift, MAX_SHARE_DRIFT};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -163,15 +164,12 @@ fn usage(err: &str) -> ExitCode {
 }
 
 /// The drift detector: compares each trajectory entry's `profile`
-/// extension against the previous same-quickness entry that has one.
-/// A gated ordinal's attributed fraction or a top stack's share moving
-/// by more than [`flicker_bench::profile::MAX_SHARE_DRIFT`] fails the
-/// run; a stack merely entering or leaving the top-5 list is reported
-/// but tolerated (rank churn near the cut-off is not drift).
+/// top-stack shares against the previous same-quickness entry that has
+/// them, by [`share_drift`]. Only the five heaviest stacks are recorded
+/// per line, so a stack missing from one side counts as share 0.
 fn run_check_drift(trajectory: &str, text: &str, include_quick: bool) -> ExitCode {
-    let max_drift = flicker_bench::profile::MAX_SHARE_DRIFT;
-    // Previous profile extension per quickness class.
-    let mut prev: BTreeMap<bool, (usize, Value)> = BTreeMap::new();
+    // Previous top-stack shares per quickness class.
+    let mut prev: BTreeMap<bool, (usize, BTreeMap<String, f64>)> = BTreeMap::new();
     let mut compared = 0u64;
     let mut failures = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -189,12 +187,20 @@ fn run_check_drift(trajectory: &str, text: &str, include_quick: bool) -> ExitCod
         if quick && !include_quick {
             continue;
         }
-        let Some(profile) = value.get("profile").cloned() else {
+        let Some(top) = value
+            .get("profile")
+            .and_then(|p| p.get("top_stacks"))
+            .and_then(Value::as_object)
+        else {
             continue; // lines without the profile extension
         };
+        let shares: BTreeMap<String, f64> = top
+            .iter()
+            .filter_map(|(path, v)| Some((path.clone(), v.as_number()?)))
+            .collect();
         if let Some((prev_line, before)) = prev.get(&quick) {
             compared += 1;
-            for issue in profile_drift(before, &profile, max_drift) {
+            for issue in share_drift(before, &shares) {
                 failures.push(format!(
                     "{trajectory}:{} vs line {}: {issue}",
                     lineno + 1,
@@ -202,7 +208,7 @@ fn run_check_drift(trajectory: &str, text: &str, include_quick: bool) -> ExitCod
                 ));
             }
         }
-        prev.insert(quick, (lineno + 1, profile));
+        prev.insert(quick, (lineno + 1, shares));
     }
     if !failures.is_empty() {
         for f in &failures {
@@ -217,46 +223,9 @@ fn run_check_drift(trajectory: &str, text: &str, include_quick: bool) -> ExitCod
     println!(
         "profile drift check passed: {compared} consecutive-run comparison(s) \
          within {:.0}pp",
-        max_drift * 100.0
+        MAX_SHARE_DRIFT * 100.0
     );
     ExitCode::SUCCESS
-}
-
-/// Drift issues between two trajectory `profile` extensions: every
-/// attribution fraction or top-stack share present in *both* must agree
-/// within `max_drift`.
-fn profile_drift(before: &Value, after: &Value, max_drift: f64) -> Vec<String> {
-    let mut issues = Vec::new();
-    for section in ["attribution", "top_stacks"] {
-        let (Some(b), Some(a)) = (
-            before.get(section).and_then(Value::as_object),
-            after.get(section).and_then(Value::as_object),
-        ) else {
-            continue;
-        };
-        for (name, bv) in b {
-            let Some(before_frac) = bv.as_number() else {
-                continue;
-            };
-            match a.get(name).and_then(Value::as_number) {
-                Some(after_frac) => {
-                    let delta = (after_frac - before_frac).abs();
-                    if delta > max_drift {
-                        issues.push(format!(
-                            "{section}/{name} moved {before_frac:.3} -> {after_frac:.3} \
-                             (|delta| {delta:.3} > {max_drift})"
-                        ));
-                    }
-                }
-                None if section == "attribution" => {
-                    issues.push(format!("{section}/{name} vanished (was {before_frac:.3})"));
-                }
-                // Top-stack rank churn near the cut-off is not drift.
-                None => {}
-            }
-        }
-    }
-    issues
 }
 
 /// Collects every numeric leaf under `value` as a `path/to/leaf` series

@@ -1,109 +1,65 @@
-//! The profile baseline: machine-readable cost-attribution report over a
-//! traced §6 application run, with schema validation and drift gates.
+//! The profile half of the perf report, and the one share-drift rule.
 //!
-//! Where `BENCH_perf_baseline.json` answers "how long did it take",
-//! `BENCH_profile_baseline.json` answers "where did the time go": the
-//! merged profile tree's heaviest stacks, and — per expensive TPM
-//! ordinal — how much of the charged virtual time the crypto cost model
-//! attributes to named primitives (modmul, SHA compression, AES blocks).
+//! `BENCH_perf_baseline.json` answers "how long did it take" (the latency
+//! sections built in [`crate::baseline`]) and "where did the time go": the
+//! fields this module builds from the run's merged profile tree
+//! ([`flicker_trace::profile`]) — its total and session time, its
+//! reconciliation error, and every folded stack's self time and share of
+//! the total. Every weight is a measured virtual-clock charge: a phase
+//! span or a TPM command's charged latency.
 //!
-//! Two CI gates live here:
-//!
-//! * **Attribution**: every ordinal in
-//!   `flicker_tpm::costmodel::GATED_ORDINALS` must attribute at least
-//!   [`MIN_ATTRIBUTED_FRACTION`] of its charged time to primitives.
-//! * **Reconciliation**: the folded stacks' total weight must match the
-//!   profile's inclusive total within [`MAX_RECONCILIATION_ERROR`]
-//!   (child-exceeds-parent clamping is the only loss channel, so a
-//!   violation means the trace's nesting model is broken).
-//!
-//! [`compare`] adds the regression gate: a fresh run's stack *shares*
-//! (self-weight over total — scale-free, so a quick run compares against
-//! the committed full baseline) must stay within [`MAX_SHARE_DRIFT`] of
-//! the baseline's, and no load-bearing stack may vanish.
+//! [`share_drift`] is the regression rule over those shares. Both
+//! `perf_baseline --check` (a fresh run against a committed report) and
+//! `trajectory_dashboard --check-drift` (adjacent trajectory lines) call
+//! it. Shares are scale-free, so a quick run compares against a full
+//! report.
 
 use crate::json::Value;
-use flicker_trace::profile::{build, Profile};
-use flicker_trace::{EventKind, Trace};
+use flicker_crypto::cost::Primitive;
+use flicker_trace::profile::build;
+use flicker_trace::Trace;
 use std::collections::BTreeMap;
 
-/// Schema identifier stamped into (and required of) every profile
-/// baseline file.
-pub const SCHEMA: &str = "flicker-profile-baseline/v1";
-
-/// Minimum fraction of a gated ordinal's charged time the cost model must
-/// attribute to named primitives.
-pub const MIN_ATTRIBUTED_FRACTION: f64 = 0.90;
-
-/// Maximum tolerated folded-weight reconciliation loss.
+/// Maximum tolerated folded-weight reconciliation loss (child-exceeds-
+/// parent clamping is the only loss channel, so more means the trace's
+/// nesting model is broken).
 pub const MAX_RECONCILIATION_ERROR: f64 = 0.01;
 
 /// Maximum tolerated absolute drift in any load-bearing stack's share of
-/// total time, fresh run vs committed baseline.
+/// total time.
 pub const MAX_SHARE_DRIFT: f64 = 0.05;
 
 /// A stack is load-bearing (compared across runs) when its share of total
-/// time is at least this much in the baseline.
+/// time is at least this much in the earlier run.
 pub const SHARE_FLOOR: f64 = 0.01;
 
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
-/// Builds the profile-baseline document for a traced run.
-pub fn report(quick: bool, trace: &Trace) -> Value {
+/// The profile fields of the perf report for a traced run: `total_ms`,
+/// `session_total_ms`, `reconciliation_error` and `stacks` (per folded
+/// path, `{self_ms, share}`).
+pub fn fields(trace: &Trace) -> [(String, Value); 4] {
     let profile = build(trace);
     let total_ns: u64 = profile.roots.values().map(|r| r.total_ns).sum();
-
-    // Measured per-ordinal attribution: charged time from TpmCommand
-    // events, attributed time from the CryptoCost decomposition the TPM
-    // pends alongside them.
-    let mut charged: BTreeMap<String, u64> = BTreeMap::new();
-    let mut attributed: BTreeMap<String, u64> = BTreeMap::new();
-    for e in trace.events() {
-        match &e.kind {
-            EventKind::TpmCommand {
-                ordinal, dur_ns, ..
-            } => *charged.entry(ordinal.clone()).or_insert(0) += dur_ns,
-            EventKind::CryptoCost {
-                ordinal, dur_ns, ..
-            } => *attributed.entry(ordinal.clone()).or_insert(0) += dur_ns,
-            _ => {}
-        }
-    }
-    let mut attribution = BTreeMap::new();
-    for (ordinal, &c) in &charged {
-        let a = attributed.get(ordinal).copied().unwrap_or(0);
-        let fraction = if c == 0 { 0.0 } else { a as f64 / c as f64 };
-        attribution.insert(
-            ordinal.clone(),
-            Value::Object(BTreeMap::from([
-                ("charged_ms".into(), Value::Number(ms(c))),
-                ("attributed_ms".into(), Value::Number(ms(a))),
-                ("fraction".into(), Value::Number(fraction)),
-            ])),
-        );
-    }
-
-    let mut stacks = BTreeMap::new();
-    for (path, w) in profile.folded_weights() {
-        let share = if total_ns == 0 {
-            0.0
-        } else {
-            w as f64 / total_ns as f64
-        };
-        stacks.insert(
-            path,
-            Value::Object(BTreeMap::from([
+    let stacks = profile
+        .folded_weights()
+        .into_iter()
+        .map(|(path, w)| {
+            let share = if total_ns == 0 {
+                0.0
+            } else {
+                w as f64 / total_ns as f64
+            };
+            let entry = Value::Object(BTreeMap::from([
                 ("self_ms".into(), Value::Number(ms(w))),
                 ("share".into(), Value::Number(share)),
-            ])),
-        );
-    }
-
-    Value::Object(BTreeMap::from([
-        ("schema".into(), Value::String(SCHEMA.into())),
-        ("quick".into(), Value::Bool(quick)),
+            ]));
+            (path, entry)
+        })
+        .collect();
+    [
         ("total_ms".into(), Value::Number(ms(total_ns))),
         (
             "session_total_ms".into(),
@@ -113,193 +69,80 @@ pub fn report(quick: bool, trace: &Trace) -> Value {
             "reconciliation_error".into(),
             Value::Number(profile.reconciliation_error()),
         ),
-        ("attribution".into(), Value::Object(attribution)),
         ("stacks".into(), Value::Object(stacks)),
-    ]))
+    ]
 }
 
-fn num(doc: &Value, key: &str) -> Result<f64, String> {
-    doc.get(key)
-        .and_then(Value::as_number)
-        .ok_or_else(|| format!("{key} missing or not a number"))
+/// Every stack's share from a report's `stacks` section (empty when the
+/// section is missing; `validate` rejects such a report).
+pub fn stack_shares(doc: &Value) -> BTreeMap<String, f64> {
+    doc.get("stacks")
+        .and_then(Value::as_object)
+        .into_iter()
+        .flatten()
+        .filter_map(|(path, e)| Some((path.clone(), e.get("share")?.as_number()?)))
+        .collect()
 }
 
-/// Validates a parsed profile-baseline document: schema, both CI gates,
-/// and internal consistency of the stack shares.
-pub fn validate(doc: &Value) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("schema field missing")?;
-    if schema != SCHEMA {
-        return Err(format!("schema {schema:?}, expected {SCHEMA:?}"));
-    }
-    doc.get("quick")
-        .and_then(Value::as_bool)
-        .ok_or("quick field missing")?;
-
-    let total = num(doc, "total_ms")?;
-    if !total.is_finite() || total <= 0.0 {
-        return Err(format!("total_ms = {total} (no recorded time)"));
-    }
-    let session = num(doc, "session_total_ms")?;
-    if !session.is_finite() || session <= 0.0 {
-        return Err(format!("session_total_ms = {session} (no sessions)"));
-    }
-
-    let recon = num(doc, "reconciliation_error")?;
-    if !(0.0..=MAX_RECONCILIATION_ERROR).contains(&recon) {
-        return Err(format!(
-            "reconciliation error {recon} exceeds {MAX_RECONCILIATION_ERROR}"
-        ));
-    }
-
-    let attribution = doc
-        .get("attribution")
-        .and_then(Value::as_object)
-        .ok_or("attribution section missing")?;
-    for ordinal in flicker_tpm::costmodel::GATED_ORDINALS {
-        let entry = attribution
-            .get(ordinal)
-            .ok_or_else(|| format!("attribution.{ordinal} missing"))?;
-        let fraction = entry
-            .get("fraction")
-            .and_then(Value::as_number)
-            .ok_or_else(|| format!("attribution.{ordinal}.fraction missing"))?;
-        if fraction < MIN_ATTRIBUTED_FRACTION {
-            return Err(format!(
-                "attribution.{ordinal} = {fraction:.3}, below the \
-                 {MIN_ATTRIBUTED_FRACTION} gate"
-            ));
-        }
-    }
-
-    let stacks = doc
-        .get("stacks")
-        .and_then(Value::as_object)
-        .ok_or("stacks section missing")?;
-    if stacks.is_empty() {
-        return Err("stacks section is empty".into());
-    }
-    let mut share_sum = 0.0;
-    for (path, entry) in stacks {
-        let share = entry
-            .get("share")
-            .and_then(Value::as_number)
-            .ok_or_else(|| format!("stacks[{path:?}].share missing"))?;
-        if !(0.0..=1.0).contains(&share) {
-            return Err(format!("stacks[{path:?}].share = {share} out of range"));
-        }
-        share_sum += share;
-    }
-    // Shares sum to 1 minus the clamping loss — already bounded above.
-    if !((1.0 - MAX_RECONCILIATION_ERROR)..=1.0 + 1e-9).contains(&share_sum) {
-        return Err(format!(
-            "stack shares sum to {share_sum:.4}, not ~1 (weights don't \
-             reconcile with the profile total)"
-        ));
-    }
-    // The decomposition must actually reach the flame: the dominant
-    // ordinal's primitive frame has to be present.
-    if !stacks
-        .keys()
-        .any(|p| p.contains("tpm.TPM_Quote;modmul") || p.contains("tpm.TPM_Unseal;modmul"))
-    {
-        return Err("no modmul frame under a gated ordinal — cost model \
-                    decomposition missing from the stacks"
-            .into());
-    }
-    Ok(())
-}
-
-fn shares(doc: &Value) -> Result<BTreeMap<String, f64>, String> {
-    let stacks = doc
-        .get("stacks")
-        .and_then(Value::as_object)
-        .ok_or("stacks section missing")?;
+/// Folds every frame named after a [`Primitive`] into its parent frame.
+/// Profiles recorded before the modeled crypto-cost channel was retired
+/// carry such frames under their ordinal (`…;tpm.TPM_Quote;modmul`);
+/// folded, their shares compare with today's ordinal-leaf stacks.
+fn fold_primitive_frames(shares: &BTreeMap<String, f64>) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
-    for (path, entry) in stacks {
-        let share = entry
-            .get("share")
-            .and_then(Value::as_number)
-            .ok_or_else(|| format!("stacks[{path:?}].share missing"))?;
-        out.insert(path.clone(), share);
+    for (path, &share) in shares {
+        let mut frames = path.split(';');
+        let mut folded = frames.next().unwrap_or_default().to_string();
+        for frame in frames.filter(|f| !Primitive::ALL.iter().any(|p| p.name() == *f)) {
+            folded.push(';');
+            folded.push_str(frame);
+        }
+        *out.entry(folded).or_insert(0.0) += share;
     }
-    Ok(out)
+    out
 }
 
-/// The regression gate: checks a fresh run (`current`) against the
-/// committed `baseline`. Both must validate; every load-bearing baseline
-/// stack (share ≥ [`SHARE_FLOOR`]) must still exist within
-/// [`MAX_SHARE_DRIFT`] of its share, and gated attribution fractions must
-/// not drift. Returns human-readable drift notes for stacks that moved
-/// but stayed inside the gate.
-pub fn compare(baseline: &Value, current: &Value) -> Result<Vec<String>, String> {
-    validate(baseline).map_err(|e| format!("baseline invalid: {e}"))?;
-    validate(current).map_err(|e| format!("current run invalid: {e}"))?;
-
-    let base_attr = baseline
-        .get("attribution")
-        .and_then(Value::as_object)
-        .ok_or("baseline attribution missing")?;
-    let cur_attr = current
-        .get("attribution")
-        .and_then(Value::as_object)
-        .ok_or("current attribution missing")?;
-    for ordinal in flicker_tpm::costmodel::GATED_ORDINALS {
-        let b = base_attr
-            .get(ordinal)
-            .and_then(|e| e.get("fraction"))
-            .and_then(Value::as_number)
-            .unwrap_or(0.0);
-        let c = cur_attr
-            .get(ordinal)
-            .and_then(|e| e.get("fraction"))
-            .and_then(Value::as_number)
-            .unwrap_or(0.0);
-        if (b - c).abs() > 0.02 {
-            return Err(format!(
-                "attribution.{ordinal} drifted {b:.3} -> {c:.3} (the cost \
-                 model's shares are constants; this is a model change)"
-            ));
-        }
-    }
-
-    let base_shares = shares(baseline)?;
-    let cur_shares = shares(current)?;
-    let mut notes = Vec::new();
-    for (path, &b) in &base_shares {
-        if b < SHARE_FLOOR {
-            continue;
-        }
-        let c = cur_shares.get(path).copied().unwrap_or(0.0);
-        let drift = (b - c).abs();
-        if drift > MAX_SHARE_DRIFT {
-            return Err(format!(
-                "stack {path:?} share drifted {b:.3} -> {c:.3} \
-                 (> {MAX_SHARE_DRIFT} gate)"
-            ));
-        }
-        if drift > MAX_SHARE_DRIFT / 2.0 {
-            notes.push(format!("{path}: share {b:.3} -> {c:.3}"));
-        }
-    }
-    // New heavyweight stacks are drift too: time moved somewhere the
-    // baseline never saw.
-    for (path, &c) in &cur_shares {
-        if c >= SHARE_FLOOR + MAX_SHARE_DRIFT && !base_shares.contains_key(path) {
-            return Err(format!(
-                "new stack {path:?} carries {c:.3} of total time, absent \
-                 from the baseline"
-            ));
-        }
-    }
-    Ok(notes)
+/// The one share-drift rule between an earlier and a later run's stack
+/// shares. After [`fold_primitive_frames`] on both sides:
+///
+/// * every stack holding at least [`SHARE_FLOOR`] of `before` must stay
+///   within [`MAX_SHARE_DRIFT`] of that share, a stack missing from
+///   `after` counting as share 0;
+/// * a stack missing from `before` fails once it carries
+///   `SHARE_FLOOR + MAX_SHARE_DRIFT` (6 %) of `after`.
+///
+/// Returns one message per violation; empty means no drift.
+pub fn share_drift(before: &BTreeMap<String, f64>, after: &BTreeMap<String, f64>) -> Vec<String> {
+    compare_shares(
+        &fold_primitive_frames(before),
+        &fold_primitive_frames(after),
+    )
 }
 
-/// The `profile` object for a trajectory JSONL line: totals, the gated
-/// attribution fractions, and the five heaviest stack shares — compact
-/// numeric leaves the dashboard flattens into drift series.
+/// [`share_drift`] without the fold.
+fn compare_shares(before: &BTreeMap<String, f64>, after: &BTreeMap<String, f64>) -> Vec<String> {
+    let mut issues = Vec::new();
+    for (path, &b) in before.iter().filter(|(_, &b)| b >= SHARE_FLOOR) {
+        let a = after.get(path).copied().unwrap_or(0.0);
+        if (a - b).abs() > MAX_SHARE_DRIFT {
+            issues.push(format!(
+                "stack {path:?} share drifted {b:.3} -> {a:.3} (> {MAX_SHARE_DRIFT})"
+            ));
+        }
+    }
+    for (path, &a) in after {
+        if a >= SHARE_FLOOR + MAX_SHARE_DRIFT && !before.contains_key(path) {
+            issues.push(format!(
+                "new stack {path:?} carries {a:.3} of total time, absent before"
+            ));
+        }
+    }
+    issues
+}
+
+/// The `profile` object for a trajectory JSONL line: the report's totals
+/// and its five heaviest stack shares — compact numeric leaves the
+/// dashboard charts and `--check-drift` compares.
 pub fn trajectory_extension(doc: &Value) -> Value {
     let mut out = BTreeMap::new();
     for key in ["total_ms", "session_total_ms", "reconciliation_error"] {
@@ -307,16 +150,7 @@ pub fn trajectory_extension(doc: &Value) -> Value {
             out.insert(key.to_string(), v.clone());
         }
     }
-    let mut fractions = BTreeMap::new();
-    if let Some(attr) = doc.get("attribution").and_then(Value::as_object) {
-        for ordinal in flicker_tpm::costmodel::GATED_ORDINALS {
-            if let Some(f) = attr.get(ordinal).and_then(|e| e.get("fraction")) {
-                fractions.insert(ordinal.to_string(), f.clone());
-            }
-        }
-    }
-    out.insert("attribution".into(), Value::Object(fractions));
-    let mut top: Vec<(String, f64)> = shares(doc).unwrap_or_default().into_iter().collect();
+    let mut top: Vec<(String, f64)> = stack_shares(doc).into_iter().collect();
     top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     out.insert(
         "top_stacks".into(),
@@ -330,90 +164,138 @@ pub fn trajectory_extension(doc: &Value) -> Value {
     Value::Object(out)
 }
 
-/// Convenience: report + profile for the same trace (the tool prints from
-/// the [`Profile`], commits the [`Value`]).
-pub fn report_with_profile(quick: bool, trace: &Trace) -> (Value, Profile) {
-    (report(quick, trace), build(trace))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::{run_baseline_traced, BaselineConfig};
+    use crate::baseline::{run_baseline, BaselineConfig};
 
-    fn quick_doc() -> Value {
-        let (_, trace) = run_baseline_traced(&BaselineConfig::quick());
-        report(true, &trace)
+    fn shares(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
+        pairs.iter().map(|&(p, s)| (p.to_string(), s)).collect()
     }
 
     #[test]
-    fn quick_profile_validates_and_round_trips() {
-        let doc = quick_doc();
-        validate(&doc).expect("quick profile validates");
-        let back = crate::json::parse(&doc.to_pretty()).expect("emitted JSON parses");
-        assert_eq!(back, doc);
-        validate(&back).expect("round-tripped profile validates");
-    }
-
-    #[test]
-    fn gated_ordinals_attribute_at_least_90_percent_measured() {
-        // The acceptance bar, measured from the flight record rather than
-        // read off the model's constants.
-        let doc = quick_doc();
-        let attr = doc.get("attribution").and_then(Value::as_object).unwrap();
-        for ordinal in flicker_tpm::costmodel::GATED_ORDINALS {
-            let f = attr
-                .get(ordinal)
-                .and_then(|e| e.get("fraction"))
-                .and_then(Value::as_number)
-                .unwrap_or_else(|| panic!("{ordinal} missing from attribution"));
-            assert!(f >= MIN_ATTRIBUTED_FRACTION, "{ordinal} attributes {f}");
-        }
-    }
-
-    #[test]
-    fn identical_runs_compare_clean() {
-        let doc = quick_doc();
-        let notes = compare(&doc, &doc).expect("self-compare passes");
-        assert!(notes.is_empty(), "self-compare drifted: {notes:?}");
-    }
-
-    #[test]
-    fn compare_rejects_a_vanished_stack() {
-        let doc = quick_doc();
-        let Value::Object(mut map) = doc.clone() else {
-            unreachable!()
-        };
-        // Drop the heaviest stack from the "current" run.
-        let Some(Value::Object(stacks)) = map.get_mut("stacks") else {
-            unreachable!()
-        };
-        let heaviest = stacks
+    fn a_run_shows_no_drift_until_its_heaviest_stack_vanishes() {
+        let doc = run_baseline(&BaselineConfig::quick());
+        let before = stack_shares(&doc);
+        assert_eq!(share_drift(&before, &before), Vec::<String>::new());
+        let mut after = before.clone();
+        let heaviest = before
             .iter()
-            .max_by(|a, b| {
-                let s = |e: &Value| e.get("share").and_then(Value::as_number).unwrap_or(0.0);
-                s(a.1).total_cmp(&s(b.1))
-            })
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(k, _)| k.clone())
             .unwrap();
-        stacks.remove(&heaviest);
-        let mutilated = Value::Object(map);
-        // The mutilated doc no longer validates (share sum broke) or the
-        // compare flags the vanished stack — either way the gate trips.
+        after.remove(&heaviest);
+        let issues = share_drift(&before, &after);
+        assert_eq!(issues.len(), 1, "{issues:?}");
+        assert!(issues[0].contains(&heaviest), "{issues:?}");
+    }
+
+    #[test]
+    fn a_move_just_past_the_bound_fails() {
+        let eps = 1e-6;
+        let before = shares(&[("a", 0.40), ("b", 0.60)]);
+        let within = shares(&[("a", 0.40 + MAX_SHARE_DRIFT - eps), ("b", 0.55 + eps)]);
+        assert!(share_drift(&before, &within).is_empty());
+        let past = shares(&[("a", 0.40 + MAX_SHARE_DRIFT + eps), ("b", 0.55 - eps)]);
+        let issues = share_drift(&before, &past);
+        assert_eq!(issues.len(), 2, "{issues:?}");
+        assert!(issues[0].contains("\"a\""), "{issues:?}");
+    }
+
+    #[test]
+    fn new_stacks_fail_from_six_percent_and_light_ones_are_ignored() {
+        let before = shares(&[("a", 0.995), ("tiny", 0.005)]);
+        // "tiny" is below the floor, so its growth is judged through the
+        // stacks it takes time from.
+        let after = shares(&[("a", 0.96), ("tiny", 0.04)]);
+        assert!(share_drift(&before, &after).is_empty());
+        let after = shares(&[("a", 0.96), ("tiny", 0.005), ("new", 0.059)]);
+        assert!(share_drift(&before, &after).is_empty());
+        let after = shares(&[("a", 0.96), ("tiny", 0.005), ("new", 0.061)]);
+        let issues = share_drift(&before, &after);
+        assert_eq!(issues.len(), 1, "{issues:?}");
+        assert!(issues[0].starts_with("new stack \"new\""), "{issues:?}");
+    }
+
+    #[test]
+    fn last_modeled_trajectory_line_compares_clean_only_when_folded() {
+        // `top_stacks` of the last trajectory line recorded while TPM
+        // commands still carried modeled primitive frames, and of the
+        // first one without them.
+        let before = shares(&[
+            ("(untraced);tpm.TPM_Quote;modmul", 0.2543518002011694),
+            ("session;phase.pal", 0.05573735930731914),
+            ("session;phase.pal;tpm.TPM_Unseal", 0.0375962125572688),
+            (
+                "session;phase.pal;tpm.TPM_Unseal;modmul",
+                0.5764752592114549,
+            ),
+            ("session;phase.skinit", 0.014045079867325679),
+        ]);
+        let after = shares(&[
+            ("(untraced);tpm.TPM_Quote", 0.2705870214906057),
+            ("session;phase.pal", 0.05573735930731914),
+            ("session;phase.pal;tpm.TPM_Seal", 0.008455601012880077),
+            ("session;phase.pal;tpm.TPM_Unseal", 0.6266035426211467),
+            ("session;phase.skinit", 0.014045079867325679),
+        ]);
+        assert_eq!(share_drift(&before, &after), Vec::<String>::new());
+        // Compared frame by frame, the same two lines look like drift.
+        let issues = compare_shares(&before, &after);
         assert!(
-            compare(&doc, &mutilated).is_err(),
-            "vanished stack {heaviest:?} passed the gate"
+            issues
+                .iter()
+                .any(|i| i.contains("\"session;phase.pal;tpm.TPM_Unseal\" share drifted 0.038")),
+            "{issues:?}"
         );
     }
 
     #[test]
-    fn trajectory_extension_is_compact_and_numeric() {
-        let doc = quick_doc();
+    fn a_real_drift_under_a_primitive_frame_still_fails() {
+        let before = shares(&[("X", 0.03), ("X;modmul", 0.57)]);
+        let after = shares(&[("X", 0.50)]);
+        let issues = share_drift(&before, &after);
+        assert_eq!(issues.len(), 1, "{issues:?}");
+        assert!(
+            issues[0].contains("\"X\" share drifted 0.600 -> 0.500"),
+            "{issues:?}"
+        );
+    }
+
+    #[test]
+    fn trajectory_extension_keeps_totals_and_the_five_heaviest_stacks() {
+        let stacks = (1..=6)
+            .map(|i| {
+                let entry = Value::Object(BTreeMap::from([
+                    ("self_ms".into(), Value::Number(f64::from(i))),
+                    ("share".into(), Value::Number(f64::from(i) / 21.0)),
+                ]));
+                (format!("s{i}"), entry)
+            })
+            .collect();
+        let doc = Value::Object(BTreeMap::from([
+            ("total_ms".into(), Value::Number(21.0)),
+            ("session_total_ms".into(), Value::Number(20.0)),
+            ("reconciliation_error".into(), Value::Number(0.0)),
+            ("stacks".into(), Value::Object(stacks)),
+        ]));
         let ext = trajectory_extension(&doc);
-        assert!(ext.get("total_ms").and_then(Value::as_number).is_some());
+        let Value::Object(map) = &ext else {
+            panic!("extension is an object")
+        };
+        let keys: Vec<&str> = map.keys().map(String::as_str).collect();
+        assert_eq!(
+            keys,
+            [
+                "reconciliation_error",
+                "session_total_ms",
+                "top_stacks",
+                "total_ms"
+            ]
+        );
         let top = ext.get("top_stacks").and_then(Value::as_object).unwrap();
-        assert!(!top.is_empty() && top.len() <= 5);
-        let attr = ext.get("attribution").and_then(Value::as_object).unwrap();
-        assert_eq!(attr.len(), flicker_tpm::costmodel::GATED_ORDINALS.len());
+        let names: Vec<&str> = top.keys().map(String::as_str).collect();
+        assert_eq!(names, ["s2", "s3", "s4", "s5", "s6"]);
+        assert_eq!(top["s6"].as_number(), Some(6.0 / 21.0));
     }
 }

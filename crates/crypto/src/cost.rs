@@ -1,25 +1,25 @@
-//! Primitive-operation cost counters (the measurement half of the cost
-//! model).
+//! Primitive-operation cost counters: measured counts of the work the
+//! simulated crypto does.
 //!
-//! The perf baseline and PR-7 attribution answer *which phase* of a
-//! Flicker session is slow; this module answers *why* by counting the
-//! primitive operations — Montgomery multiplications, SHA-1/SHA-256
-//! compression-function invocations, HMAC computations, AES block
-//! operations — that the simulated crypto actually executes. The hot
-//! paths ([`crate::montgomery`], [`crate::sha1`], [`crate::sha256`],
-//! [`crate::hmac`], [`crate::aes`]) bump these counters inline; profilers
-//! take a [`snapshot`] before and after a region and diff the two with
-//! [`CostSnapshot::since`].
+//! The perf report and the farm attribution answer *which phase* of a
+//! Flicker session is slow, in virtual time; this module answers *why* on
+//! the host by counting the primitive operations — Montgomery
+//! multiplications, SHA-1/SHA-256 compression-function invocations, HMAC
+//! computations, AES block operations — that the simulated crypto actually
+//! executes. The hot paths ([`crate::montgomery`], [`crate::sha1`],
+//! [`crate::sha256`], [`crate::hmac`], [`crate::aes`]) bump these counters
+//! inline; profilers take a [`snapshot`] before and after a region and
+//! diff the two with [`CostSnapshot::since`]. The host benchmark reports
+//! the deltas per operation (`crypto.modmul_per_op`, ...).
 //!
 //! The counters are thread-local [`Cell`]s: this crate sits at the bottom
 //! of the workspace (below `flicker-trace`), so it cannot charge a trace
 //! recorder itself, and a thread-local costs one add on paths that run
-//! tens of thousands of times per RSA operation. Upper layers read the
-//! deltas and attribute them to spans, TPM ordinals, or PAL phases.
+//! tens of thousands of times per RSA operation.
 
 use std::cell::Cell;
 
-/// The primitive operation classes the cost model distinguishes.
+/// The primitive operation classes the counters distinguish.
 ///
 /// These are the units the ROADMAP's hot-path speed pass would optimize:
 /// a Montgomery+CRT RSA change pays off proportionally to
@@ -58,7 +58,9 @@ impl Primitive {
         Primitive::AesBlock,
     ];
 
-    /// Stable snake_case name used in profiles, folded stacks, and JSON.
+    /// Stable snake_case name. Profiles recorded before TPM commands lost
+    /// their modeled per-primitive split carry it as a frame name under
+    /// each ordinal; the bench share-drift rule folds such frames away.
     pub fn name(&self) -> &'static str {
         match self {
             Primitive::ModMul => "modmul",
@@ -67,11 +69,6 @@ impl Primitive {
             Primitive::Hmac => "hmac",
             Primitive::AesBlock => "aes_block",
         }
-    }
-
-    /// Parses a [`Primitive::name`] back to the primitive.
-    pub fn from_name(name: &str) -> Option<Primitive> {
-        Primitive::ALL.into_iter().find(|p| p.name() == name)
     }
 }
 
@@ -246,14 +243,6 @@ mod tests {
         // e = 65537 has 17 bits: window width 2, nine windows, so
         // 2^2 + 8·3 = 28 Montgomery multiplications.
         assert_eq!(delta.modmul, 28);
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for p in Primitive::ALL {
-            assert_eq!(Primitive::from_name(p.name()), Some(p));
-        }
-        assert_eq!(Primitive::from_name("nope"), None);
     }
 
     #[test]

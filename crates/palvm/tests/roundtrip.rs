@@ -141,9 +141,9 @@ proptest! {
 
     /// Profiling is a pure function of (program, initial registers):
     /// two runs of the same inputs produce byte-identical profile
-    /// reports — the property the committed profile baseline's drift
-    /// gates depend on. Faulting programs (out of fuel, memory faults,
-    /// divide by zero) must be deterministic too: the profiler is
+    /// reports, so the `vm.*` counters they feed into a committed perf
+    /// report are reproducible. Faulting programs (out of fuel, memory
+    /// faults, divide by zero) must be deterministic too: the profiler is
     /// borrowed, not consumed, and its partial counts are part of the
     /// contract.
     #[test]

@@ -23,7 +23,6 @@
 //! drains via [`Tpm::take_elapsed`].
 
 pub mod auth;
-pub mod costmodel;
 pub mod counter;
 pub mod error;
 pub mod eventlog;

@@ -215,19 +215,6 @@ impl Tpm {
             locality: 0,
             dur_ns: u64::try_from(d.as_nanos()).unwrap_or(u64::MAX),
         });
-        // The cost model's decomposition rides right behind the command
-        // event, sharing its completion timestamp once the machine stamps
-        // the drained queue — profiles nest the primitives under the
-        // ordinal by that pairing. Charged time is untouched: the model
-        // only explains `d`, it never adds to it.
-        for (primitive, count, attributed) in crate::costmodel::attribute(spec_name, d) {
-            self.pend(EventKind::CryptoCost {
-                ordinal: spec_name.to_string(),
-                primitive: primitive.to_string(),
-                count,
-                dur_ns: u64::try_from(attributed.as_nanos()).unwrap_or(u64::MAX),
-            });
-        }
     }
 
     /// Queues a flight-recorder event. The TPM has no clock (it sits below
@@ -1340,15 +1327,6 @@ mod tests {
                     ordinal: "TPM_Extend".to_string(),
                     locality: 0,
                     dur_ns: extend_ns,
-                },
-                // The cost model's decomposition follows each charged
-                // command: one SHA-1 compression explains 70% of an
-                // extend.
-                EventKind::CryptoCost {
-                    ordinal: "TPM_Extend".to_string(),
-                    primitive: "sha1_compress".to_string(),
-                    count: 1,
-                    dur_ns: Duration::from_nanos(extend_ns).mul_f64(0.70).as_nanos() as u64,
                 },
                 EventKind::PcrExtend {
                     index: 17,

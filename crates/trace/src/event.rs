@@ -89,24 +89,6 @@ pub enum EventKind {
         /// (per-ordinal drill-down under the `tpm` attribution category).
         dur_ns: u64,
     },
-    /// The crypto cost model's decomposition of one TPM ordinal's virtual
-    /// time into a named primitive operation (see `flicker-tpm`'s
-    /// `costmodel`): `count` operations of `primitive` are modeled to
-    /// account for `dur_ns` of the ordinal's charged latency. Pended by
-    /// the TPM right after the matching [`EventKind::TpmCommand`], so the
-    /// two share a completion timestamp and profiles can nest primitives
-    /// under their ordinal.
-    CryptoCost {
-        /// Spec ordinal name the time belongs to, e.g. `TPM_Quote`.
-        ordinal: String,
-        /// Primitive operation name (`modmul`, `sha1_compress`,
-        /// `sha256_compress`, `hmac`, `aes_block`).
-        primitive: String,
-        /// Modeled number of primitive operations.
-        count: u64,
-        /// Virtual time attributed to this primitive, in nanoseconds.
-        dur_ns: u64,
-    },
     /// Virtual time charged against the active request under a named
     /// attribution category (`cpu`, `tpm`, `net`, `skinit`, `tpm_backoff`,
     /// `retry_backoff`). Emitted only while a [`RequestCtx`] is in force,
@@ -209,7 +191,6 @@ impl EventKind {
             EventKind::PhaseStart { .. } => "phase_start",
             EventKind::PhaseEnd { .. } => "phase_end",
             EventKind::TpmCommand { .. } => "tpm_command",
-            EventKind::CryptoCost { .. } => "crypto_cost",
             EventKind::Charge { .. } => "charge",
             EventKind::Anchor { .. } => "anchor",
             EventKind::PcrExtend { .. } => "pcr_extend",
@@ -228,7 +209,8 @@ impl EventKind {
     }
 }
 
-fn escape(s: &str, out: &mut String) {
+/// Appends `s` to `out` with JSON string escaping.
+pub(crate) fn escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -255,6 +237,95 @@ fn push_u64_field(out: &mut String, key: &str, value: u64) {
     out.push_str(&value.to_string());
 }
 
+impl EventKind {
+    /// Appends the payload as `,"key":value` pairs, in declaration order.
+    fn push_fields(&self, s: &mut String) {
+        match self {
+            EventKind::SessionStart { id } | EventKind::SessionEnd { id } => {
+                push_u64_field(s, "id", *id);
+            }
+            EventKind::PhaseStart { name } | EventKind::PhaseEnd { name } => {
+                push_str_field(s, "name", name);
+            }
+            EventKind::TpmCommand {
+                ordinal,
+                locality,
+                dur_ns,
+            } => {
+                push_str_field(s, "ordinal", ordinal);
+                push_u64_field(s, "locality", u64::from(*locality));
+                push_u64_field(s, "dur_ns", *dur_ns);
+            }
+            EventKind::Charge { op, ns } => {
+                push_str_field(s, "op", op);
+                push_u64_field(s, "ns", *ns);
+            }
+            EventKind::Anchor { machine, shard_ns } => {
+                push_u64_field(s, "machine", *machine);
+                push_u64_field(s, "shard_ns", *shard_ns);
+            }
+            EventKind::PcrExtend { index, locality } | EventKind::PcrReset { index, locality } => {
+                push_u64_field(s, "index", u64::from(*index));
+                push_u64_field(s, "locality", u64::from(*locality));
+            }
+            EventKind::DevProtect { base, len } => {
+                push_u64_field(s, "base", *base);
+                push_u64_field(s, "len", *len);
+            }
+            EventKind::DevRelease { count } => push_u64_field(s, "count", *count),
+            EventKind::InterruptsChanged { enabled } => {
+                s.push_str(",\"enabled\":");
+                s.push_str(if *enabled { "true" } else { "false" });
+            }
+            EventKind::Skinit { slb_base, slb_len } => {
+                push_u64_field(s, "slb_base", *slb_base);
+                push_u64_field(s, "slb_len", *slb_len);
+            }
+            EventKind::Zeroize { base, len } => {
+                push_u64_field(s, "base", *base);
+                push_u64_field(s, "len", *len);
+            }
+            EventKind::FaultInjected { fault } => push_str_field(s, "fault", fault),
+            EventKind::Farm {
+                action,
+                request,
+                machine,
+            } => {
+                push_str_field(s, "action", action);
+                push_u64_field(s, "request", *request);
+                push_u64_field(s, "machine", *machine);
+            }
+            EventKind::OsSuspend | EventKind::OsResume | EventKind::Reboot => {}
+        }
+    }
+}
+
+/// Appends the request context as `,"req":…,"attempt":…` (nothing when
+/// there is none).
+fn push_ctx(ctx: Option<RequestCtx>, s: &mut String) {
+    if let Some(ctx) = ctx {
+        push_u64_field(s, "req", ctx.request);
+        push_u64_field(s, "attempt", u64::from(ctx.attempt));
+    }
+}
+
+/// The payload of `kind` (if any) and `ctx` as one JSON object: the
+/// fields a JSONL line carries after `kind`, in the same order and with
+/// the same escaping. The Chrome exporter's `args`.
+pub(crate) fn fields_object(kind: Option<&EventKind>, ctx: Option<RequestCtx>) -> String {
+    let mut s = String::new();
+    if let Some(kind) = kind {
+        kind.push_fields(&mut s);
+    }
+    push_ctx(ctx, &mut s);
+    if s.is_empty() {
+        return "{}".to_string();
+    }
+    s.replace_range(..1, "{");
+    s.push('}');
+    s
+}
+
 impl Event {
     /// Serializes the event as one JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
@@ -263,78 +334,8 @@ impl Event {
         let ns = u64::try_from(self.at.as_nanos()).unwrap_or(u64::MAX);
         s.push_str(&ns.to_string());
         push_str_field(&mut s, "kind", self.kind.name());
-        match &self.kind {
-            EventKind::SessionStart { id } | EventKind::SessionEnd { id } => {
-                push_u64_field(&mut s, "id", *id);
-            }
-            EventKind::PhaseStart { name } | EventKind::PhaseEnd { name } => {
-                push_str_field(&mut s, "name", name);
-            }
-            EventKind::TpmCommand {
-                ordinal,
-                locality,
-                dur_ns,
-            } => {
-                push_str_field(&mut s, "ordinal", ordinal);
-                push_u64_field(&mut s, "locality", u64::from(*locality));
-                push_u64_field(&mut s, "dur_ns", *dur_ns);
-            }
-            EventKind::CryptoCost {
-                ordinal,
-                primitive,
-                count,
-                dur_ns,
-            } => {
-                push_str_field(&mut s, "ordinal", ordinal);
-                push_str_field(&mut s, "primitive", primitive);
-                push_u64_field(&mut s, "count", *count);
-                push_u64_field(&mut s, "dur_ns", *dur_ns);
-            }
-            EventKind::Charge { op, ns } => {
-                push_str_field(&mut s, "op", op);
-                push_u64_field(&mut s, "ns", *ns);
-            }
-            EventKind::Anchor { machine, shard_ns } => {
-                push_u64_field(&mut s, "machine", *machine);
-                push_u64_field(&mut s, "shard_ns", *shard_ns);
-            }
-            EventKind::PcrExtend { index, locality } | EventKind::PcrReset { index, locality } => {
-                push_u64_field(&mut s, "index", u64::from(*index));
-                push_u64_field(&mut s, "locality", u64::from(*locality));
-            }
-            EventKind::DevProtect { base, len } => {
-                push_u64_field(&mut s, "base", *base);
-                push_u64_field(&mut s, "len", *len);
-            }
-            EventKind::DevRelease { count } => push_u64_field(&mut s, "count", *count),
-            EventKind::InterruptsChanged { enabled } => {
-                s.push_str(",\"enabled\":");
-                s.push_str(if *enabled { "true" } else { "false" });
-            }
-            EventKind::Skinit { slb_base, slb_len } => {
-                push_u64_field(&mut s, "slb_base", *slb_base);
-                push_u64_field(&mut s, "slb_len", *slb_len);
-            }
-            EventKind::Zeroize { base, len } => {
-                push_u64_field(&mut s, "base", *base);
-                push_u64_field(&mut s, "len", *len);
-            }
-            EventKind::FaultInjected { fault } => push_str_field(&mut s, "fault", fault),
-            EventKind::Farm {
-                action,
-                request,
-                machine,
-            } => {
-                push_str_field(&mut s, "action", action);
-                push_u64_field(&mut s, "request", *request);
-                push_u64_field(&mut s, "machine", *machine);
-            }
-            EventKind::OsSuspend | EventKind::OsResume | EventKind::Reboot => {}
-        }
-        if let Some(ctx) = self.ctx {
-            push_u64_field(&mut s, "req", ctx.request);
-            push_u64_field(&mut s, "attempt", u64::from(ctx.attempt));
-        }
+        self.kind.push_fields(&mut s);
+        push_ctx(self.ctx, &mut s);
         s.push('}');
         s
     }
@@ -348,9 +349,9 @@ impl Event {
         let at_ns = field_u64(line, "at_ns").ok_or_else(|| format!("missing at_ns: {line}"))?;
         let at = Duration::from_nanos(at_ns);
         let kind_name = field_str(line, "kind").ok_or_else(|| format!("missing kind: {line}"))?;
-        let req_u64 = |key: &str| {
-            field_u64(line, key).ok_or_else(|| format!("missing {key} in {kind_name} event"))
-        };
+        let req_u64 = |key: &str| req_num::<u64>(line, &kind_name, key);
+        let req_u32 = |key: &str| req_num::<u32>(line, &kind_name, key);
+        let req_u8 = |key: &str| req_num::<u8>(line, &kind_name, key);
         let req_str = |key: &str| {
             field_str(line, key).ok_or_else(|| format!("missing {key} in {kind_name} event"))
         };
@@ -365,15 +366,9 @@ impl Event {
             },
             "tpm_command" => EventKind::TpmCommand {
                 ordinal: req_str("ordinal")?,
-                locality: req_u64("locality")? as u8,
+                locality: req_u8("locality")?,
                 // Optional for lines written before durations were recorded.
                 dur_ns: field_u64(line, "dur_ns").unwrap_or(0),
-            },
-            "crypto_cost" => EventKind::CryptoCost {
-                ordinal: req_str("ordinal")?,
-                primitive: req_str("primitive")?,
-                count: req_u64("count")?,
-                dur_ns: req_u64("dur_ns")?,
             },
             "charge" => EventKind::Charge {
                 op: req_str("op")?,
@@ -384,12 +379,12 @@ impl Event {
                 shard_ns: req_u64("shard_ns")?,
             },
             "pcr_extend" => EventKind::PcrExtend {
-                index: req_u64("index")? as u32,
-                locality: req_u64("locality")? as u8,
+                index: req_u32("index")?,
+                locality: req_u8("locality")?,
             },
             "pcr_reset" => EventKind::PcrReset {
-                index: req_u64("index")? as u32,
-                locality: req_u64("locality")? as u8,
+                index: req_u32("index")?,
+                locality: req_u8("locality")?,
             },
             "dev_protect" => EventKind::DevProtect {
                 base: req_u64("base")?,
@@ -423,12 +418,26 @@ impl Event {
             },
             other => return Err(format!("unknown event kind {other:?}")),
         };
-        let ctx = field_u64(line, "req").map(|request| RequestCtx {
-            request,
-            attempt: field_u64(line, "attempt").unwrap_or(1) as u32,
-        });
+        let ctx = match field_u64(line, "req") {
+            Some(request) => Some(RequestCtx {
+                request,
+                attempt: match field_u64(line, "attempt") {
+                    Some(_) => req_u32("attempt")?,
+                    None => 1,
+                },
+            }),
+            None => None,
+        };
         Ok(Event { at, kind, ctx })
     }
+}
+
+/// Reads the required number `key` of a `kind` line into its field's
+/// type. A value that does not fit is an error naming the field, never a
+/// silent truncation: `"locality":260` must not replay as locality 4.
+fn req_num<T: TryFrom<u64>>(line: &str, kind: &str, key: &str) -> Result<T, String> {
+    let v = field_u64(line, key).ok_or_else(|| format!("missing {key} in {kind} event"))?;
+    T::try_from(v).map_err(|_| format!("{key} {v} out of range in {kind} event"))
 }
 
 /// Finds `"key":` in `line` and returns the byte offset just past the colon.
@@ -507,12 +516,6 @@ mod tests {
                 ordinal: "TPM_Seal".into(),
                 locality: 0,
                 dur_ns: 417_000,
-            },
-            EventKind::CryptoCost {
-                ordinal: "TPM_Quote".into(),
-                primitive: "modmul".into(),
-                count: 4098,
-                dur_ns: 904_611_000,
             },
             EventKind::Charge {
                 op: "tpm_backoff".into(),
@@ -606,6 +609,44 @@ mod tests {
         );
         let back = Event::from_jsonl(&bare.to_jsonl()).unwrap();
         assert_eq!(back.ctx, None, "no ctx must parse as no ctx");
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_rejected_with_their_field() {
+        for (line, field) in [
+            (
+                r#"{"at_ns":1,"kind":"pcr_reset","index":17,"locality":260}"#,
+                "locality",
+            ),
+            (
+                r#"{"at_ns":1,"kind":"tpm_command","ordinal":"TPM_Unseal","locality":256}"#,
+                "locality",
+            ),
+            (
+                r#"{"at_ns":1,"kind":"pcr_extend","index":4294967313,"locality":4}"#,
+                "index",
+            ),
+            (
+                r#"{"at_ns":1,"kind":"os_resume","req":9,"attempt":4294967297}"#,
+                "attempt",
+            ),
+        ] {
+            let err = Event::from_jsonl(line).expect_err(line);
+            assert!(err.contains(field), "{line}: {err}");
+        }
+        // The largest values that fit still parse.
+        let e = Event::from_jsonl(
+            r#"{"at_ns":1,"kind":"pcr_reset","index":4294967295,"locality":255,"req":9,"attempt":4294967295}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            e.kind,
+            EventKind::PcrReset {
+                index: u32::MAX,
+                locality: u8::MAX,
+            }
+        );
+        assert_eq!(e.ctx.map(|c| c.attempt), Some(u32::MAX));
     }
 
     #[test]

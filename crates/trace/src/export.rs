@@ -11,105 +11,15 @@
 //! * [`prometheus_text`] — Prometheus text exposition of counters (as
 //!   `_total`) and histograms (cumulative `le` buckets in seconds).
 
-use crate::{Event, EventKind, RequestCtx, Trace};
+use crate::event::{escape, fields_object};
+use crate::{Event, Trace};
 use std::fmt::Write as _;
 use std::time::Duration;
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Microseconds with fractional part, the unit `trace_event` expects.
 fn us(d: Duration) -> String {
     let ns = d.as_nanos();
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-/// Splices the optional request-context fields into an args object string
-/// (which always ends in `}`).
-fn with_ctx(mut args: String, ctx: Option<RequestCtx>) -> String {
-    let Some(ctx) = ctx else {
-        return args;
-    };
-    args.pop();
-    if !args.ends_with('{') {
-        args.push(',');
-    }
-    let _ = write!(
-        args,
-        "\"req\":{},\"attempt\":{}}}",
-        ctx.request, ctx.attempt
-    );
-    args
-}
-
-fn event_args(kind: &EventKind) -> String {
-    match kind {
-        EventKind::SessionStart { id } | EventKind::SessionEnd { id } => {
-            format!("{{\"id\":{id}}}")
-        }
-        EventKind::PhaseStart { name } | EventKind::PhaseEnd { name } => {
-            format!("{{\"name\":\"{}\"}}", escape_json(name))
-        }
-        EventKind::TpmCommand {
-            ordinal,
-            locality,
-            dur_ns,
-        } => format!(
-            "{{\"ordinal\":\"{}\",\"locality\":{locality},\"dur_ns\":{dur_ns}}}",
-            escape_json(ordinal)
-        ),
-        EventKind::CryptoCost {
-            ordinal,
-            primitive,
-            count,
-            dur_ns,
-        } => format!(
-            "{{\"ordinal\":\"{}\",\"primitive\":\"{}\",\"count\":{count},\"dur_ns\":{dur_ns}}}",
-            escape_json(ordinal),
-            escape_json(primitive)
-        ),
-        EventKind::Charge { op, ns } => {
-            format!("{{\"op\":\"{}\",\"ns\":{ns}}}", escape_json(op))
-        }
-        EventKind::Anchor { machine, shard_ns } => {
-            format!("{{\"machine\":{machine},\"shard_ns\":{shard_ns}}}")
-        }
-        EventKind::PcrExtend { index, locality } | EventKind::PcrReset { index, locality } => {
-            format!("{{\"index\":{index},\"locality\":{locality}}}")
-        }
-        EventKind::DevProtect { base, len } => format!("{{\"base\":{base},\"len\":{len}}}"),
-        EventKind::DevRelease { count } => format!("{{\"count\":{count}}}"),
-        EventKind::InterruptsChanged { enabled } => format!("{{\"enabled\":{enabled}}}"),
-        EventKind::Skinit { slb_base, slb_len } => {
-            format!("{{\"slb_base\":{slb_base},\"slb_len\":{slb_len}}}")
-        }
-        EventKind::Zeroize { base, len } => format!("{{\"base\":{base},\"len\":{len}}}"),
-        EventKind::FaultInjected { fault } => {
-            format!("{{\"fault\":\"{}\"}}", escape_json(fault))
-        }
-        EventKind::Farm {
-            action,
-            request,
-            machine,
-        } => format!(
-            "{{\"action\":\"{}\",\"request\":{request},\"machine\":{machine}}}",
-            escape_json(action)
-        ),
-        EventKind::OsSuspend | EventKind::OsResume | EventKind::Reboot => "{}".to_string(),
-    }
 }
 
 /// Renders completed spans and flight-recorder events as Chrome
@@ -124,22 +34,23 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
         let Some(duration) = span.duration else {
             continue;
         };
+        let mut name = String::new();
+        escape(span.name, &mut name);
         entries.push(format!(
-            "{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"span\",\"pid\":1,\"tid\":1,\
+            "{{\"ph\":\"X\",\"name\":\"{name}\",\"cat\":\"span\",\"pid\":1,\"tid\":1,\
              \"ts\":{},\"dur\":{},\"args\":{}}}",
-            escape_json(span.name),
             us(span.start),
             us(duration),
-            with_ctx("{}".to_string(), span.ctx),
+            fields_object(None, span.ctx),
         ));
     }
     for event in trace.events() {
         entries.push(format!(
             "{{\"ph\":\"i\",\"name\":\"{}\",\"cat\":\"event\",\"pid\":1,\"tid\":1,\
              \"ts\":{},\"s\":\"t\",\"args\":{}}}",
-            escape_json(event.kind.name()),
+            event.kind.name(),
             us(event.at),
-            with_ctx(event_args(&event.kind), event.ctx),
+            fields_object(Some(&event.kind), event.ctx),
         ));
     }
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
@@ -235,6 +146,7 @@ pub fn prometheus_text(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EventKind;
 
     fn sample_trace() -> Trace {
         let t = Trace::new();
@@ -369,6 +281,32 @@ flicker_net_rtt_seconds_sum 0.001412
 flicker_net_rtt_seconds_count 2
 ";
         assert_eq!(text, expected);
+    }
+
+    #[test]
+    fn chrome_args_are_the_jsonl_fields() {
+        let t = sample_trace();
+        t.set_request_ctx(Some(crate::RequestCtx {
+            request: 7,
+            attempt: 1,
+        }));
+        t.event(
+            Duration::from_micros(60),
+            EventKind::FaultInjected {
+                fault: "odd \"name\"\n".into(),
+            },
+        );
+        let json = chrome_trace_json(&t);
+        for event in t.events() {
+            let line = event.to_jsonl();
+            let kind = format!("\"kind\":\"{}\"", event.kind.name());
+            let fields = &line[line.find(&kind).unwrap() + kind.len()..line.len() - 1];
+            let args = match fields.strip_prefix(',') {
+                Some(f) => format!("\"args\":{{{f}}}"),
+                None => "\"args\":{}".to_string(),
+            };
+            assert!(json.contains(&args), "{args} missing from {json}");
+        }
     }
 
     #[test]

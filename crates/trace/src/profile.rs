@@ -4,9 +4,11 @@
 //! This is the fourth observability layer: spans say how long each
 //! Figure-2 phase took, events say what the platform did, attribution
 //! says where a request's wall time went — the profile says where the
-//! time *inside* the phases goes, down to the TPM ordinal and the crypto
-//! primitive the cost model blames (see `flicker-tpm`'s `costmodel` and
-//! [`EventKind::CryptoCost`]).
+//! time *inside* the phases goes, down to the TPM ordinal that charged
+//! it. Every weight is a measured virtual-clock charge: a span's duration
+//! or a [`EventKind::TpmCommand`]'s `dur_ns`. The tree goes no deeper
+//! than the ordinal; the primitive work behind a command is counted on
+//! the host side by `flicker_crypto::cost`.
 //!
 //! A [`Profile`] is a merged tree: every session contributes to the same
 //! `session` root, every `phase.pal` instance to the same child, every
@@ -71,9 +73,7 @@ pub struct Profile {
 /// Structure: completed spans nest by their parent links; spans and
 /// events inside a `SessionStart`..`SessionEnd` window nest under the
 /// [`SESSION_ROOT`]; each [`EventKind::TpmCommand`] becomes a
-/// `tpm.<ordinal>` frame under its innermost enclosing span; each
-/// [`EventKind::CryptoCost`] becomes a primitive frame under that
-/// ordinal's frame.
+/// `tpm.<ordinal>` frame under its innermost enclosing span.
 pub fn build(trace: &Trace) -> Profile {
     let spans = trace.spans();
     let events = trace.events();
@@ -154,7 +154,7 @@ pub fn build(trace: &Trace) -> Profile {
         best
     };
 
-    let event_path = |at: Duration, dur_ns: u64, tail: &[String]| -> Vec<String> {
+    let event_path = |at: Duration, dur_ns: u64, leaf: String| -> Vec<String> {
         let start = at.saturating_sub(Duration::from_nanos(dur_ns));
         let mut path = match enclosing(start, at) {
             Some(i) => paths[i].clone(),
@@ -168,39 +168,17 @@ pub fn build(trace: &Trace) -> Profile {
             }
             None => vec![UNTRACED_ROOT.to_string()],
         };
-        path.extend(tail.iter().cloned());
+        path.push(leaf);
         path
     };
 
-    // A command's CryptoCost decomposition is pended right after its
-    // TpmCommand and shares the completion timestamp; resolving the
-    // parent once per command keeps the primitives under the same
-    // ordinal node even though their own (fractional) durations would
-    // resolve to a deeper span.
-    let mut cmd_paths: BTreeMap<(Duration, String), Vec<String>> = BTreeMap::new();
     for e in &events {
-        match &e.kind {
-            EventKind::TpmCommand {
-                ordinal, dur_ns, ..
-            } => {
-                let path = event_path(e.at, *dur_ns, &[format!("tpm.{ordinal}")]);
-                cmd_paths.insert((e.at, ordinal.clone()), path.clone());
-                insert(&mut profile.roots, &path, *dur_ns, 1);
-            }
-            EventKind::CryptoCost {
-                ordinal,
-                primitive,
-                dur_ns,
-                count,
-            } => {
-                let mut path = match cmd_paths.get(&(e.at, ordinal.clone())) {
-                    Some(p) => p.clone(),
-                    None => event_path(e.at, *dur_ns, &[format!("tpm.{ordinal}")]),
-                };
-                path.push(primitive.clone());
-                insert(&mut profile.roots, &path, *dur_ns, *count);
-            }
-            _ => {}
+        if let EventKind::TpmCommand {
+            ordinal, dur_ns, ..
+        } = &e.kind
+        {
+            let path = event_path(e.at, *dur_ns, format!("tpm.{ordinal}"));
+            insert(&mut profile.roots, &path, *dur_ns, 1);
         }
     }
 
@@ -441,15 +419,6 @@ mod tests {
                 dur_ns: 15_000_000,
             },
         );
-        t.event(
-            ms(30),
-            EventKind::CryptoCost {
-                ordinal: "TPM_Unseal".into(),
-                primitive: "modmul".into(),
-                count: 3074,
-                dur_ns: 13_800_000,
-            },
-        );
         t.span_end(pal, ms(50));
         let cleanup = t.span_start("phase.cleanup", ms(50));
         t.span_end(cleanup, ms(60));
@@ -458,7 +427,7 @@ mod tests {
     }
 
     #[test]
-    fn tree_nests_spans_ordinals_and_primitives() {
+    fn tree_nests_spans_and_ordinals() {
         let p = build(&session_trace());
         assert_eq!(p.session_total(), Duration::from_millis(70));
         let pal = p.get(&[SESSION_ROOT, "phase.pal"]).unwrap();
@@ -467,10 +436,8 @@ mod tests {
             .get(&[SESSION_ROOT, "phase.pal", "tpm.TPM_Unseal"])
             .unwrap();
         assert_eq!(unseal.total_ns, 15_000_000);
-        let modmul = p
-            .get(&[SESSION_ROOT, "phase.pal", "tpm.TPM_Unseal", "modmul"])
-            .unwrap();
-        assert_eq!(modmul.count, 3074);
+        assert_eq!(unseal.count, 1);
+        assert!(unseal.children.is_empty(), "ordinals are leaves");
         assert_eq!(p.overflow_ns, 0);
         assert_eq!(p.reconciliation_error(), 0.0);
     }
@@ -555,7 +522,6 @@ mod tests {
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"name\":\"session\""));
         assert!(json.contains("\"name\":\"tpm.TPM_Unseal\""));
-        assert!(json.contains("\"name\":\"modmul\""));
     }
 
     #[test]

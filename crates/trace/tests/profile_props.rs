@@ -1,8 +1,8 @@
 //! Profile determinism and folded-stack round-trip properties.
 //!
 //! The profile builder promises (a) that building twice from the same
-//! trace yields byte-identical artifacts — the property the committed
-//! profile baseline's drift gates rely on — and (b) that the collapsed
+//! trace yields byte-identical artifacts — the property the perf
+//! report's share-drift gate relies on — and (b) that the collapsed
 //! stack text is a lossless encoding of the self-weight map: parsing
 //! what `folded()` emitted reproduces `folded_weights()` exactly, for
 //! *any* trace the recorder can produce, including overlapping sessions,
@@ -15,12 +15,10 @@ use std::time::Duration;
 
 const SPAN_NAMES: [&str; 4] = ["phase.alpha", "phase.beta", "phase.gamma", "phase.delta"];
 const ORDINALS: [&str; 4] = ["TPM_Seal", "TPM_Unseal", "TPM_Quote", "TPM_Extend"];
-const PRIMITIVES: [&str; 3] = ["modmul", "sha1_compress", "hmac"];
 
 /// Replays scripted `(selector, param)` ops on a fresh trace: span
-/// starts/ends, session open/close events, and TPM commands each
-/// followed by a same-timestamp crypto-cost event (mirroring how the
-/// simulated chip pends both at drain time).
+/// starts/ends, session open/close events, and TPM commands stamped at
+/// completion (as the simulated chip's drained events are).
 fn build_trace(ops: &[(u8, u16)]) -> Trace {
     let trace = Trace::new();
     let mut now_ns: u64 = 0;
@@ -59,15 +57,6 @@ fn build_trace(ops: &[(u8, u16)]) -> Trace {
                         ordinal: ordinal.into(),
                         locality: 2,
                         dur_ns,
-                    },
-                );
-                trace.event(
-                    now,
-                    EventKind::CryptoCost {
-                        ordinal: ordinal.into(),
-                        primitive: PRIMITIVES[param as usize % 3].into(),
-                        count: u64::from(param % 7) + 1,
-                        dur_ns: dur_ns / 2,
                     },
                 );
             }

@@ -701,10 +701,116 @@ window.BENCHMARK_DATA = {
         },
         "date": 5,
         "tool": "customSmallerIsBetter"
+      },
+      {
+        "benches": [
+          {
+            "name": "apps/ca/p50_ms",
+            "unit": "ms",
+            "value": 1153.394
+          },
+          {
+            "name": "apps/ca/p95_ms",
+            "unit": "ms",
+            "value": 1193.954
+          },
+          {
+            "name": "apps/distcomp/p50_ms",
+            "unit": "ms",
+            "value": 955.76592
+          },
+          {
+            "name": "apps/distcomp/p95_ms",
+            "unit": "ms",
+            "value": 955.76592
+          },
+          {
+            "name": "apps/rootkit/p50_ms",
+            "unit": "ms",
+            "value": 1027.218356
+          },
+          {
+            "name": "apps/rootkit/p95_ms",
+            "unit": "ms",
+            "value": 1027.610167
+          },
+          {
+            "name": "apps/ssh/p50_ms",
+            "unit": "ms",
+            "value": 2130.735892
+          },
+          {
+            "name": "apps/ssh/p95_ms",
+            "unit": "ms",
+            "value": 2186.911954
+          },
+          {
+            "name": "apps/storage/p50_ms",
+            "unit": "ms",
+            "value": 1944.06122
+          },
+          {
+            "name": "apps/storage/p95_ms",
+            "unit": "ms",
+            "value": 1944.06122
+          },
+          {
+            "name": "profile/reconciliation_error",
+            "unit": "",
+            "value": 0
+          },
+          {
+            "name": "profile/session_total_ms",
+            "unit": "ms",
+            "value": 131103.84975
+          },
+          {
+            "name": "profile/top_stacks/(untraced);tpm.TPM_Quote",
+            "unit": "",
+            "value": 0.2705870214906057
+          },
+          {
+            "name": "profile/top_stacks/session;phase.pal",
+            "unit": "",
+            "value": 0.05573735930731914
+          },
+          {
+            "name": "profile/top_stacks/session;phase.pal;tpm.TPM_Seal",
+            "unit": "",
+            "value": 0.008455601012880077
+          },
+          {
+            "name": "profile/top_stacks/session;phase.pal;tpm.TPM_Unseal",
+            "unit": "",
+            "value": 0.6266035426211467
+          },
+          {
+            "name": "profile/top_stacks/session;phase.skinit",
+            "unit": "",
+            "value": 0.014045079867325679
+          },
+          {
+            "name": "profile/total_ms",
+            "unit": "ms",
+            "value": 179738.84975
+          },
+          {
+            "name": "sessions",
+            "unit": "",
+            "value": 250
+          }
+        ],
+        "commit": {
+          "id": "92126f6",
+          "message": "",
+          "url": ""
+        },
+        "date": 6,
+        "tool": "customSmallerIsBetter"
       }
     ]
   },
-  "lastUpdate": 6,
+  "lastUpdate": 7,
   "repoUrl": ""
 }
 ;

@@ -27,15 +27,16 @@ cargo run --release -p flicker-verifier --bin palvm_tool -- verify --builtin
 # monitor (any divergence prints its JSONL repro record and fails).
 cargo run --release -p flicker-verifier --bin palvm_tool -- analyze --builtin
 cargo run --release -p flicker-verifier --bin palvm_tool -- analyze --differential 200
-# Perf-baseline gate: a quick traced run must still produce a schema-valid
-# report AND an audit-clean flight record (written under target/ so the
-# committed full-run artifact and trajectory are never clobbered), and the
-# committed artifact must itself stay valid.
-cargo run --release -p flicker-bench --bin perf_baseline -- --quick --audit \
+# Perf-report gate: a quick traced run must produce a schema-valid report
+# (profile reconciliation within 1%) from an audit-clean, untruncated
+# flight record; the committed full-run report must stay valid, and no
+# stack's share of virtual time may drift more than 5pp from it. Outputs
+# go under target/ so the committed report and trajectory are never
+# clobbered.
+cargo run --release -p flicker-bench --bin perf_baseline -- --quick \
+  --check BENCH_perf_baseline.json \
   --out target/BENCH_perf_baseline_quick.json \
   --trajectory target/BENCH_trajectory_quick.jsonl
-cargo run --release -p flicker-bench --bin perf_baseline -- --check target/BENCH_perf_baseline_quick.json
-cargo run --release -p flicker-bench --bin perf_baseline -- --check BENCH_perf_baseline.json
 # Farm gate: a quick farm run (2 machines, seeded faults) must finish with
 # zero lost / zero duplicated requests, audit-clean (untruncated)
 # per-machine flight records, >=99% of every request's wall time
@@ -55,22 +56,18 @@ cargo run --release -p flicker-bench --bin flicker_trace_tool -- \
 # under target/ so the committed docs/bench/ artifact stays full-run only).
 cargo run --release -p flicker-bench --bin trajectory_dashboard -- \
   --out-dir target/bench_dashboard
-# Flight-recorder gates: the paper-invariant auditor must pass over a
-# fresh quick run, and each exporter must emit a self-consistent document.
-cargo run --release -p flicker-bench --bin flicker_trace_tool -- audit --quick
+# Flight-recorder gates: each exporter must emit a self-consistent
+# document, and the saved JSONL flight must replay through the parser and
+# the paper-invariant auditor.
 for fmt in chrome jsonl prom; do
   cargo run --release -p flicker-bench --bin flicker_trace_tool -- \
     export --quick --format "$fmt" --verify --out "target/trace_smoke.$fmt" >/dev/null
 done
-# Profiling gates: a quick profile must validate (reconciliation within
-# 1%, gated TPM ordinals >=90% attributed to named crypto primitives) and
-# must not drift against the committed profile baseline; both flamegraph
-# exports must pass the same reconciliation check; and the committed
-# trajectory's profile series must be drift-free between adjacent runs.
 cargo run --release -p flicker-bench --bin flicker_trace_tool -- \
-  profile --quick --out target/BENCH_profile_quick.json
-cargo run --release -p flicker-bench --bin flicker_trace_tool -- \
-  profile --check BENCH_profile_baseline.json --quick
+  audit --jsonl target/trace_smoke.jsonl
+# Profiling gates: both flamegraph exports must pass the 1% reconciliation
+# check, and the committed trajectory's top-stack shares must be
+# drift-free between adjacent runs.
 cargo run --release -p flicker-bench --bin flicker_trace_tool -- \
   flamegraph --quick --out target/profile_smoke.folded >/dev/null
 cargo run --release -p flicker-bench --bin flicker_trace_tool -- \
