@@ -7,6 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use flicker_crypto::aes::Aes128;
 use flicker_crypto::hmac::Hmac;
+use flicker_crypto::md5::md5;
 use flicker_crypto::md5crypt::md5crypt;
 use flicker_crypto::montgomery::MontgomeryCtx;
 use flicker_crypto::mpint::Mpint;
@@ -31,6 +32,17 @@ fn bench_hashes(c: &mut Criterion) {
         let window = vec![0x5Au8; 64 * 1024];
         b.iter(|| sha1(&window));
     });
+
+    // §7.5's integrity check and the inner hash of md5crypt.
+    let mut g = c.benchmark_group("md5");
+    for size in [64usize, 4096, 65536] {
+        let data = vec![0xABu8; size];
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_with_input(BenchmarkId::from_parameter(size), &data, |b, d| {
+            b.iter(|| md5(d));
+        });
+    }
+    g.finish();
 }
 
 fn bench_symmetric(c: &mut Criterion) {

@@ -18,7 +18,10 @@
 //! * Utilities: [`hex`], constant-time comparison in [`ct`]
 //!
 //! These implementations favour clarity and auditability over speed, like
-//! the original PAL libraries did. They are validated against published
+//! the original PAL libraries did, except on the measured host hot paths:
+//! Montgomery exponentiation ([`montgomery`]) and the unrolled SHA-1 and
+//! MD5 compression functions. All four hashes share one block buffer and
+//! padding routine ([`digest`]). They are validated against published
 //! test vectors in each module's unit tests.
 
 pub mod aes;

@@ -5,12 +5,14 @@
 //! built on MD5. MD5 is cryptographically broken and must not be used for
 //! anything but that compatibility path.
 
-use crate::digest::Digest;
+use crate::digest::{BlockBuffer, Digest};
 
 /// Length in bytes of an MD5 digest.
 pub const OUTPUT_LEN: usize = 16;
 /// MD5 compression block length in bytes.
 pub const BLOCK_LEN: usize = 64;
+
+const H0: [u32; 4] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476];
 
 const S: [u32; 64] = [
     7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, //
@@ -30,6 +32,34 @@ const K: [u32; 64] = [
     0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391,
 ];
 
+// The four auxiliary functions of RFC 1321 §3.4. F and G are bitwise
+// selects, written with one operation fewer than the RFC's form.
+fn f(b: u32, c: u32, d: u32) -> u32 {
+    d ^ (b & (c ^ d))
+}
+
+fn g(b: u32, c: u32, d: u32) -> u32 {
+    c ^ (d & (b ^ c))
+}
+
+fn h(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+fn i(b: u32, c: u32, d: u32) -> u32 {
+    c ^ (b | !d)
+}
+
+/// The message word step `i` adds (RFC 1321 §3.4).
+const fn word(i: usize) -> usize {
+    match i / 16 {
+        0 => i,
+        1 => (5 * i + 1) % 16,
+        2 => (3 * i + 5) % 16,
+        _ => (7 * i) % 16,
+    }
+}
+
 /// Streaming MD5 hasher.
 ///
 /// # Examples
@@ -42,18 +72,14 @@ const K: [u32; 64] = [
 #[derive(Clone)]
 pub struct Md5 {
     state: [u32; 4],
-    buffer: [u8; BLOCK_LEN],
-    buffered: usize,
-    total_len: u64,
+    buffer: BlockBuffer<BLOCK_LEN>,
 }
 
 impl Default for Md5 {
     fn default() -> Self {
         Md5 {
-            state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476],
-            buffer: [0; BLOCK_LEN],
-            buffered: 0,
-            total_len: 0,
+            state: H0,
+            buffer: BlockBuffer::default(),
         }
     }
 }
@@ -64,36 +90,46 @@ impl Md5 {
         Self::default()
     }
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
+    /// The MD5 compression function (RFC 1321 §3.4), unrolled: step groups
+    /// rename the working variables instead of shifting them, so every step's
+    /// function, constant, rotation and message index is fixed at compile
+    /// time.
+    fn compress(state: &mut [u32; 4], block: &[u8; BLOCK_LEN]) {
         let mut m = [0u32; 16];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            m[i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        for (word, bytes) in m.iter_mut().zip(block.as_chunks::<4>().0) {
+            *word = u32::from_le_bytes(*bytes);
         }
+        let [mut a, mut b, mut c, mut d] = *state;
 
-        let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i {
-                0..=15 => ((b & c) | ((!b) & d), i),
-                16..=31 => ((d & b) | ((!d) & c), (5 * i + 1) % 16),
-                32..=47 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
+        // One step: a = b + ((a + F(b, c, d) + K[i] + M[word(i)]) <<< S[i]);
+        // the next step names (d, a, b, c) as (a, b, c, d).
+        macro_rules! step {
+            ($f:ident, $a:ident, $b:ident, $c:ident, $d:ident, $i:expr) => {
+                $a = $b.wrapping_add(
+                    $a.wrapping_add($f($b, $c, $d))
+                        .wrapping_add(const { K[$i] })
+                        .wrapping_add(m[const { word($i) }])
+                        .rotate_left(const { S[$i] }),
+                );
             };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(K[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
         }
+        // Four steps bring the names back to (a, b, c, d).
+        macro_rules! steps {
+            ($f:ident; $($i:literal)+) => {$(
+                step!($f, a, b, c, d, $i);
+                step!($f, d, a, b, c, $i + 1);
+                step!($f, c, d, a, b, $i + 2);
+                step!($f, b, c, d, a, $i + 3);
+            )+};
+        }
+        steps!(f; 0 4 8 12);
+        steps!(g; 16 20 24 28);
+        steps!(h; 32 36 40 44);
+        steps!(i; 48 52 56 60);
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
+        for (s, v) in state.iter_mut().zip([a, b, c, d]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 
@@ -101,48 +137,18 @@ impl Digest for Md5 {
     const OUTPUT_LEN: usize = OUTPUT_LEN;
     const BLOCK_LEN: usize = BLOCK_LEN;
 
-    fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        if self.buffered > 0 {
-            let take = (BLOCK_LEN - self.buffered).min(data.len());
-            self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
-            self.buffered += take;
-            data = &data[take..];
-            if self.buffered == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
-            }
-        }
-        if data.is_empty() {
-            // Everything was absorbed into the partial buffer; do not let
-            // the remainder logic below clobber `buffered`.
-            return;
-        }
-        let mut chunks = data.chunks_exact(BLOCK_LEN);
-        for chunk in &mut chunks {
-            let mut block = [0u8; BLOCK_LEN];
-            block.copy_from_slice(chunk);
-            self.compress(&block);
-        }
-        let rest = chunks.remainder();
-        self.buffer[..rest.len()].copy_from_slice(rest);
-        self.buffered = rest.len();
+    fn update(&mut self, data: &[u8]) {
+        self.buffer
+            .update(data, |block| Self::compress(&mut self.state, block));
     }
 
     fn finalize(mut self) -> Vec<u8> {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != BLOCK_LEN - 8 {
-            self.update(&[0x00]);
-        }
         // MD5 appends the bit length little-endian, unlike the SHA family.
-        self.update(&bit_len.to_le_bytes());
-        let mut out = Vec::with_capacity(OUTPUT_LEN);
-        for word in self.state {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
-        out
+        let bit_len = self.buffer.message_len().wrapping_mul(8);
+        self.buffer.finish(bit_len.to_le_bytes(), |block| {
+            Self::compress(&mut self.state, block)
+        });
+        self.state.iter().flat_map(|w| w.to_le_bytes()).collect()
     }
 }
 
@@ -157,6 +163,7 @@ pub fn md5(data: &[u8]) -> [u8; OUTPUT_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::reference;
     use crate::hex;
 
     fn hexdigest(data: &[u8]) -> String {
@@ -188,14 +195,63 @@ mod tests {
         );
     }
 
-    #[test]
-    fn streaming_matches_one_shot() {
-        let data: Vec<u8> = (0..200u32).map(|i| (i * 3 % 256) as u8).collect();
-        for split in [0, 1, 63, 64, 65, 199] {
-            let mut h = Md5::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), Md5::digest(&data), "split={split}");
+    /// The rolled form of [`Md5::compress`], the oracle the unrolled one
+    /// is checked against: one loop over the 64 steps.
+    fn compress_reference(state: &mut [u32; 4], block: &[u8; BLOCK_LEN]) {
+        let mut m = [0u32; 16];
+        for (i, chunk) in block.chunks_exact(4).enumerate() {
+            m[i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
+
+        let [mut a, mut b, mut c, mut d] = *state;
+        for i in 0..64 {
+            let (f, g) = match i {
+                0..=15 => ((b & c) | ((!b) & d), i),
+                16..=31 => ((d & b) | ((!d) & c), (5 * i + 1) % 16),
+                32..=47 => (b ^ c ^ d, (3 * i + 5) % 16),
+                _ => (c ^ (b | !d), (7 * i) % 16),
+            };
+            let tmp = d;
+            d = c;
+            c = b;
+            b = b.wrapping_add(
+                a.wrapping_add(f)
+                    .wrapping_add(K[i])
+                    .wrapping_add(m[g])
+                    .rotate_left(S[i]),
+            );
+            a = tmp;
+        }
+
+        for (s, v) in state.iter_mut().zip([a, b, c, d]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+
+    /// MD5 of the whole padded message, block by block, through
+    /// [`compress_reference`].
+    fn reference_digest(message: &[u8]) -> Vec<u8> {
+        let bit_len = (message.len() as u64 * 8).to_le_bytes();
+        let padded = reference::pad(message, BLOCK_LEN, &bit_len);
+        let mut state = H0;
+        for block in padded.as_chunks::<BLOCK_LEN>().0 {
+            compress_reference(&mut state, block);
+        }
+        state.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    #[test]
+    fn compress_matches_the_rolled_reference() {
+        for (state, block) in reference::random_inputs::<4>(0x3d5, 1_000) {
+            let (mut got, mut want) = (state, state);
+            Md5::compress(&mut got, &block);
+            compress_reference(&mut want, &block);
+            assert_eq!(got, want, "state={state:08x?}");
+        }
+    }
+
+    #[test]
+    fn streaming_matches_the_padded_reference() {
+        reference::check_streaming::<Md5>(reference_digest);
     }
 }

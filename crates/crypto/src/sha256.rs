@@ -4,7 +4,7 @@
 //! internal random number generator, and available to PALs that want a
 //! stronger hash than the TPM-mandated SHA-1.
 
-use crate::digest::Digest;
+use crate::digest::{BlockBuffer, Digest};
 
 /// Length in bytes of a SHA-256 digest.
 pub const OUTPUT_LEN: usize = 32;
@@ -41,18 +41,14 @@ const K: [u32; 64] = [
 #[derive(Clone)]
 pub struct Sha256 {
     state: [u32; 8],
-    buffer: [u8; BLOCK_LEN],
-    buffered: usize,
-    total_len: u64,
+    buffer: BlockBuffer<BLOCK_LEN>,
 }
 
 impl Default for Sha256 {
     fn default() -> Self {
         Sha256 {
             state: H0,
-            buffer: [0; BLOCK_LEN],
-            buffered: 0,
-            total_len: 0,
+            buffer: BlockBuffer::default(),
         }
     }
 }
@@ -63,7 +59,7 @@ impl Sha256 {
         Self::default()
     }
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
+    fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
         crate::cost::count(crate::cost::Primitive::Sha256Compress);
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
@@ -78,7 +74,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
@@ -100,7 +96,7 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
 
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
     }
@@ -110,47 +106,17 @@ impl Digest for Sha256 {
     const OUTPUT_LEN: usize = OUTPUT_LEN;
     const BLOCK_LEN: usize = BLOCK_LEN;
 
-    fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        if self.buffered > 0 {
-            let take = (BLOCK_LEN - self.buffered).min(data.len());
-            self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
-            self.buffered += take;
-            data = &data[take..];
-            if self.buffered == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
-            }
-        }
-        if data.is_empty() {
-            // Everything was absorbed into the partial buffer; do not let
-            // the remainder logic below clobber `buffered`.
-            return;
-        }
-        let mut chunks = data.chunks_exact(BLOCK_LEN);
-        for chunk in &mut chunks {
-            let mut block = [0u8; BLOCK_LEN];
-            block.copy_from_slice(chunk);
-            self.compress(&block);
-        }
-        let rest = chunks.remainder();
-        self.buffer[..rest.len()].copy_from_slice(rest);
-        self.buffered = rest.len();
+    fn update(&mut self, data: &[u8]) {
+        self.buffer
+            .update(data, |block| Self::compress(&mut self.state, block));
     }
 
     fn finalize(mut self) -> Vec<u8> {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != BLOCK_LEN - 8 {
-            self.update(&[0x00]);
-        }
-        self.update(&bit_len.to_be_bytes());
-        let mut out = Vec::with_capacity(OUTPUT_LEN);
-        for word in self.state {
-            out.extend_from_slice(&word.to_be_bytes());
-        }
-        out
+        let bit_len = self.buffer.message_len().wrapping_mul(8);
+        self.buffer.finish(bit_len.to_be_bytes(), |block| {
+            Self::compress(&mut self.state, block)
+        });
+        self.state.iter().flat_map(|w| w.to_be_bytes()).collect()
     }
 }
 
@@ -165,6 +131,7 @@ pub fn sha256(data: &[u8]) -> [u8; OUTPUT_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::reference;
     use crate::hex;
 
     #[test]
@@ -194,14 +161,19 @@ mod tests {
         );
     }
 
-    #[test]
-    fn streaming_matches_one_shot() {
-        let data: Vec<u8> = (0..300u32).map(|i| (i * 7 % 256) as u8).collect();
-        for split in [0, 1, 55, 56, 64, 65, 128, 299] {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), Sha256::digest(&data), "split={split}");
+    /// SHA-256 of the whole padded message, block by block.
+    fn reference_digest(message: &[u8]) -> Vec<u8> {
+        let bit_len = (message.len() as u64 * 8).to_be_bytes();
+        let padded = reference::pad(message, BLOCK_LEN, &bit_len);
+        let mut state = H0;
+        for block in padded.as_chunks::<BLOCK_LEN>().0 {
+            Sha256::compress(&mut state, block);
         }
+        state.iter().flat_map(|w| w.to_be_bytes()).collect()
+    }
+
+    #[test]
+    fn streaming_matches_the_padded_reference() {
+        reference::check_streaming::<Sha256>(reference_digest);
     }
 }

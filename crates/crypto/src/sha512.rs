@@ -3,7 +3,7 @@
 //! Listed in the paper's Crypto module inventory (Figure 6); available to
 //! PALs that hash large inputs and want 64-byte digests.
 
-use crate::digest::Digest;
+use crate::digest::{BlockBuffer, Digest};
 
 /// Length in bytes of a SHA-512 digest.
 pub const OUTPUT_LEN: usize = 64;
@@ -108,18 +108,14 @@ const K: [u64; 80] = [
 #[derive(Clone)]
 pub struct Sha512 {
     state: [u64; 8],
-    buffer: [u8; BLOCK_LEN],
-    buffered: usize,
-    total_len: u128,
+    buffer: BlockBuffer<BLOCK_LEN>,
 }
 
 impl Default for Sha512 {
     fn default() -> Self {
         Sha512 {
             state: H0,
-            buffer: [0; BLOCK_LEN],
-            buffered: 0,
-            total_len: 0,
+            buffer: BlockBuffer::default(),
         }
     }
 }
@@ -130,7 +126,7 @@ impl Sha512 {
         Self::default()
     }
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
+    fn compress(state: &mut [u64; 8], block: &[u8; BLOCK_LEN]) {
         let mut w = [0u64; 80];
         for (i, chunk) in block.chunks_exact(8).enumerate() {
             let mut bytes = [0u8; 8];
@@ -146,7 +142,7 @@ impl Sha512 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..80 {
             let s1 = e.rotate_right(14) ^ e.rotate_right(18) ^ e.rotate_right(41);
             let ch = (e & f) ^ ((!e) & g);
@@ -168,7 +164,7 @@ impl Sha512 {
             a = t1.wrapping_add(t2);
         }
 
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
     }
@@ -178,47 +174,17 @@ impl Digest for Sha512 {
     const OUTPUT_LEN: usize = OUTPUT_LEN;
     const BLOCK_LEN: usize = BLOCK_LEN;
 
-    fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u128);
-        if self.buffered > 0 {
-            let take = (BLOCK_LEN - self.buffered).min(data.len());
-            self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
-            self.buffered += take;
-            data = &data[take..];
-            if self.buffered == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
-            }
-        }
-        if data.is_empty() {
-            // Everything was absorbed into the partial buffer; do not let
-            // the remainder logic below clobber `buffered`.
-            return;
-        }
-        let mut chunks = data.chunks_exact(BLOCK_LEN);
-        for chunk in &mut chunks {
-            let mut block = [0u8; BLOCK_LEN];
-            block.copy_from_slice(chunk);
-            self.compress(&block);
-        }
-        let rest = chunks.remainder();
-        self.buffer[..rest.len()].copy_from_slice(rest);
-        self.buffered = rest.len();
+    fn update(&mut self, data: &[u8]) {
+        self.buffer
+            .update(data, |block| Self::compress(&mut self.state, block));
     }
 
     fn finalize(mut self) -> Vec<u8> {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != BLOCK_LEN - 16 {
-            self.update(&[0x00]);
-        }
-        self.update(&bit_len.to_be_bytes());
-        let mut out = Vec::with_capacity(OUTPUT_LEN);
-        for word in self.state {
-            out.extend_from_slice(&word.to_be_bytes());
-        }
-        out
+        let bit_len = u128::from(self.buffer.message_len()) * 8;
+        self.buffer.finish(bit_len.to_be_bytes(), |block| {
+            Self::compress(&mut self.state, block)
+        });
+        self.state.iter().flat_map(|w| w.to_be_bytes()).collect()
     }
 }
 
@@ -233,6 +199,7 @@ pub fn sha512(data: &[u8]) -> [u8; OUTPUT_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::reference;
     use crate::hex;
 
     #[test]
@@ -260,14 +227,19 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
         );
     }
 
-    #[test]
-    fn streaming_matches_one_shot() {
-        let data: Vec<u8> = (0..500u32).map(|i| (i * 13 % 256) as u8).collect();
-        for split in [0, 1, 111, 112, 127, 128, 129, 499] {
-            let mut h = Sha512::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), Sha512::digest(&data), "split={split}");
+    /// SHA-512 of the whole padded message, block by block.
+    fn reference_digest(message: &[u8]) -> Vec<u8> {
+        let bit_len = (u128::from(message.len() as u64) * 8).to_be_bytes();
+        let padded = reference::pad(message, BLOCK_LEN, &bit_len);
+        let mut state = H0;
+        for block in padded.as_chunks::<BLOCK_LEN>().0 {
+            Sha512::compress(&mut state, block);
         }
+        state.iter().flat_map(|w| w.to_be_bytes()).collect()
+    }
+
+    #[test]
+    fn streaming_matches_the_padded_reference() {
+        reference::check_streaming::<Sha512>(reference_digest);
     }
 }

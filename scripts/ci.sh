@@ -10,6 +10,10 @@ cargo test --workspace -q
 # The bignum kernel again in release: debug_assert! compiled out and
 # integer arithmetic wrapping instead of trapping.
 cargo test --release -p flicker-crypto -q
+# The host-clock benchmark is a package of its own that builds the
+# workspace crates as path dependencies: build it and run its tests, so a
+# workspace API change that breaks it fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
 # Deterministic robustness gate: 200 seeded fault schedules across the §6
 # applications; every schedule's flight record is replayed through the
 # trace auditor, and any violation exits non-zero. The --quick sweep runs
