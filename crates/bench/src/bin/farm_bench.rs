@@ -23,7 +23,7 @@
 
 use flicker_bench::farmattr::{self, FarmFlight};
 use flicker_bench::json::Value;
-use flicker_bench::{percentiles, print_table};
+use flicker_bench::{percentiles, render_table};
 use flicker_farm::{Farm, FarmConfig, RequestSpec, Terminal};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -111,7 +111,7 @@ fn main() -> ExitCode {
     };
     let (p50, p95, p99) = percentiles(&ran);
 
-    print_table(
+    let table = render_table(
         "Farm outcomes",
         &["terminal", "count"],
         &[
@@ -121,7 +121,8 @@ fn main() -> ExitCode {
             vec!["shed".into(), report.shed().to_string()],
         ],
     );
-    print_table(
+    print!("{table}");
+    let table = render_table(
         "Supervision",
         &["metric", "value"],
         &[
@@ -139,11 +140,13 @@ fn main() -> ExitCode {
             ],
         ],
     );
-    print_table(
+    print!("{table}");
+    let table = render_table(
         "Latency (virtual ms, over non-shed requests)",
         &["p50", "p95", "p99"],
         &[vec![ms(p50), ms(p95), ms(p99)]],
     );
+    print!("{table}");
     println!(
         "\nzero lost, zero duplicated: {} submitted -> {} terminal outcomes",
         report.submitted,

@@ -10,7 +10,7 @@
 //! Usage: `fault_sweep [--seed N] [--schedules N] [--quick] [--dump-dir DIR]`
 
 use flicker_bench::faultsweep::{run_sweep, Outcome, APPS};
-use flicker_bench::print_table;
+use flicker_bench::render_table;
 use std::io::Write as _;
 use std::path::Path;
 
@@ -75,7 +75,7 @@ fn main() {
         })
         .collect();
 
-    print_table(
+    let table = render_table(
         &format!(
             "Fault sweep: {schedules} schedules from seed {base_seed} \
              ({} faults fired)",
@@ -84,6 +84,7 @@ fn main() {
         &["App", "Survived", "Recovered", "Violations", "Faults"],
         &rows,
     );
+    print!("{table}");
 
     for r in report.violating() {
         if let Outcome::Violation(why) = &r.outcome {

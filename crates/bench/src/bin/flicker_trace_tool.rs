@@ -27,7 +27,7 @@
 
 use flicker_bench::baseline::{run_baseline_traced, BaselineConfig};
 use flicker_bench::farmattr::{self, FarmFlight};
-use flicker_bench::{json, print_table};
+use flicker_bench::{json, render_table};
 use flicker_farm::{Farm, FarmConfig, RequestSpec};
 use flicker_trace::profile as trace_profile;
 use flicker_trace::{audit, export, DurationHistogram, Trace, DROPPED_EVENTS_COUNTER};
@@ -194,7 +194,8 @@ fn cmd_summary(args: &[String]) -> ExitCode {
         .iter()
         .map(|(kind, n)| vec![kind.to_string(), n.to_string()])
         .collect();
-    print_table("Flight-recorder events by kind", &["kind", "count"], &rows);
+    let table = render_table("Flight-recorder events by kind", &["kind", "count"], &rows);
+    print!("{table}");
     let sessions = trace.spans_named("phase.suspend").len();
     println!("\nsessions:       {sessions}");
     println!("events kept:    {}", events.len());
@@ -420,11 +421,12 @@ fn cmd_critical_path(args: &[String]) -> ExitCode {
             ]
         })
         .collect();
-    print_table(
+    let table = render_table(
         "Critical path: session time by phase",
         &["phase", "spans", "total_ms", "share"],
         &rows,
     );
+    print!("{table}");
 
     // The TPM ordinals behind those phases, by total simulated time.
     let mut ordinals: Vec<(&'static str, DurationHistogram)> = trace
@@ -445,11 +447,12 @@ fn cmd_critical_path(args: &[String]) -> ExitCode {
             ]
         })
         .collect();
-    print_table(
+    let table = render_table(
         "Dominant TPM ordinals",
         &["ordinal", "count", "total_ms", "mean_ms"],
         &rows,
     );
+    print!("{table}");
     ExitCode::SUCCESS
 }
 
@@ -543,11 +546,12 @@ fn cmd_flamegraph(args: &[String]) -> ExitCode {
                 ]
             })
             .collect();
-        print_table(
+        let table = render_table(
             &format!("Folded-stack drift vs {path} (ms)"),
             &["stack", "before_ms", "after_ms", "delta_ms"],
             &rows,
         );
+        print!("{table}");
         return ExitCode::SUCCESS;
     }
 

@@ -18,8 +18,8 @@
 
 use flicker_bench::baseline::{audit_flight, run_baseline_traced, validate, BaselineConfig};
 use flicker_bench::json::{self, Value};
-use flicker_bench::print_table;
 use flicker_bench::profile::{share_drift, stack_shares, trajectory_extension, MAX_SHARE_DRIFT};
+use flicker_bench::render_table;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -209,11 +209,12 @@ fn print_summary(doc: &Value) {
                 ]
             })
             .collect();
-        print_table(
+        let table = render_table(
             title,
             &["name", "count", "p50", "p95", "p99", "mean"],
             &rows,
         );
+        print!("{table}");
     }
 
     let number = |v: &Value, key: &str| v.get(key).and_then(Value::as_number).unwrap_or(0.0);
@@ -236,11 +237,12 @@ fn print_summary(doc: &Value) {
             ]
         })
         .collect();
-    print_table(
+    let table = render_table(
         "Hottest stacks (self time)",
         &["stack", "self_ms", "share"],
         &rows,
     );
+    print!("{table}");
     println!(
         "\nprofile total: {:.1} ms ({:.1} ms in sessions); reconciliation loss {:.4}%",
         number(doc, "total_ms"),

@@ -1,58 +1,27 @@
-//! Runs every experiment regenerator in sequence (the full §7 evaluation).
-//!
-//! Invokes the sibling binaries from the same target directory, so build
-//! once with `cargo build --release -p flicker-bench` and then run
-//! `target/release/run_all`, or simply
-//! `cargo run --release -p flicker-bench --bin run_all`.
+//! Regenerates the paper's §7 evaluation: `run_all [NAME...]` runs the
+//! named experiments (all of them by default) and prints their tables in
+//! a fixed order. Its full output is the committed
+//! `experiments_output.txt`, regenerated with
+//! `cargo run --release -p flicker-bench --bin run_all > experiments_output.txt`.
 
-use std::process::{Command, ExitCode};
-
-const EXPERIMENTS: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "fig8",
-    "fig9",
-    "ca_eval",
-    "table5_io",
-    "module_inventory",
-    "attestation_granularity",
-    "ablation_hw",
-];
+use flicker_bench::experiments::{self, ALL};
+use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let me = std::env::current_exe().expect("own path");
-    let dir = me.parent().expect("target dir");
-    let mut failures = Vec::new();
-    for exp in EXPERIMENTS {
-        println!("\n################ {exp} ################");
-        let path = dir.join(exp);
-        if !path.exists() {
-            eprintln!(
-                "run_all: {} not built; run `cargo build --release -p flicker-bench` first",
-                path.display()
-            );
-            failures.push(*exp);
-            continue;
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    match experiments::run(ALL, &names) {
+        Err(e) => {
+            eprintln!("run_all: {e}");
+            ExitCode::from(2)
         }
-        match Command::new(&path).status() {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("run_all: {exp} exited with {s}");
-                failures.push(*exp);
-            }
-            Err(e) => {
-                eprintln!("run_all: {exp} failed to start: {e}");
-                failures.push(*exp);
+        Ok((text, failed)) => {
+            print!("{text}");
+            if failed.is_empty() {
+                ExitCode::SUCCESS
+            } else {
+                eprintln!("\nFailed experiments: {failed:?}");
+                ExitCode::FAILURE
             }
         }
-    }
-    if failures.is_empty() {
-        println!("\nAll {} experiments completed.", EXPERIMENTS.len());
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("\nFailed experiments: {failures:?}");
-        ExitCode::FAILURE
     }
 }

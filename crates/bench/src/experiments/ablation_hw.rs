@@ -4,13 +4,15 @@
 //! hardware profiles — the paper's Broadcom TPM, the faster Infineon the
 //! paper cites, and the \[19\]-style future hardware.
 
+use super::distcomp_slice;
+use crate::{render_table, EVAL_TPM_KEY_BITS};
 use flicker_apps::rootkit::{known_good_hash, Administrator};
-use flicker_apps::{BoincClient, PasswdEntry, SshClient, SshServer, WorkUnit};
-use flicker_bench::{print_table, EVAL_TPM_KEY_BITS};
+use flicker_apps::{PasswdEntry, SshClient, SshServer};
 use flicker_crypto::rng::XorShiftRng;
 use flicker_machine::SkinitCostModel;
 use flicker_os::{NetLink, Os, OsConfig};
 use flicker_tpm::{PrivacyCa, TpmTimingProfile};
+use std::fmt::{self, Write};
 use std::time::Duration;
 
 struct ProfileResult {
@@ -67,14 +69,7 @@ fn run_profile(
         .total;
 
     // Distributed-computing per-session overhead + Figure 8 crossover.
-    let unit = WorkUnit {
-        n: 0xFFFF_FFFF_FFFF_FFC5,
-        lo: 2,
-        hi: u64::MAX,
-    };
-    let (mut bc, _) = BoincClient::start(&mut os, unit).unwrap();
-    let rep = bc.run_slice(&mut os, Duration::from_secs(1)).unwrap();
-    let overhead = rep.overhead;
+    let overhead = distcomp_slice(&mut os, Duration::from_secs(1)).overhead;
     // Crossover with 3-way replication: eff(L) = 1/3 ⇒ L = 1.5 * overhead.
     let fig8_crossover_s = 1.5 * overhead.as_secs_f64();
 
@@ -87,7 +82,7 @@ fn run_profile(
     }
 }
 
-fn main() {
+pub fn ablation_hw(out: &mut String) -> fmt::Result {
     let profiles = [
         run_profile(
             "Broadcom (paper)",
@@ -118,7 +113,7 @@ fn main() {
             ]
         })
         .collect();
-    print_table(
+    out.push_str(&render_table(
         "Hardware ablation: headline results under three TPM/launch profiles (ms)",
         &[
             "Profile",
@@ -128,15 +123,16 @@ fn main() {
             "Fig8 crossover [s]",
         ],
         &rows,
-    );
+    ));
 
     let speedup =
         profiles[0].distcomp_overhead.as_secs_f64() / profiles[2].distcomp_overhead.as_secs_f64();
-    println!(
+    writeln!(
+        out,
         "\nFuture-hardware speedup on per-session overhead: {speedup:.0}x — \
          with [19]-style support the Figure 8 crossover collapses from \
          ~1.4 s to ~{:.0} ms, making Flicker strictly better than \
          replication at any practical latency.",
         profiles[2].fig8_crossover_s * 1e3
-    );
+    )
 }

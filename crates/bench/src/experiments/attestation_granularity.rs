@@ -8,12 +8,13 @@
 //! one PAL measurement, independent of the platform's other software —
 //! and leaks nothing about it (the paper's privacy point).
 
-use flicker_bench::{eval_os, print_table};
+use crate::{eval_os, render_table};
 use flicker_core::{
     expected_pcr17_final, run_session, ExpectedSession, NativePal, PalContext, PalPayload,
     SessionParams, SlbImage, SlbOptions,
 };
 use flicker_os::ima::{measured_boot, PCR_IMA};
+use std::fmt::{self, Write};
 use std::sync::Arc;
 
 struct TinyPal;
@@ -23,7 +24,7 @@ impl NativePal for TinyPal {
     }
 }
 
-fn main() {
+pub fn attestation_granularity(out: &mut String) -> fmt::Result {
     let mut rows = Vec::new();
     for apps in [25usize, 100, 400] {
         // --- Trusted boot ------------------------------------------------
@@ -73,7 +74,7 @@ fn main() {
             "stable".to_string(),
         ]);
     }
-    print_table(
+    out.push_str(&render_table(
         "§3.2 'Meaningful Attestation': verifier burden, trusted boot vs Flicker",
         &[
             "apps installed",
@@ -85,13 +86,14 @@ fn main() {
             "Flicker: after update",
         ],
         &rows,
-    );
-    println!(
+    ));
+    writeln!(
+        out,
         "\nTrusted boot (§2.1) forces the verifier to judge every binary the \
          platform ever loaded and re-whitelist on every unrelated update, \
          while revealing the host's full software inventory. Flicker's \
          verifier judges exactly one 20-byte PAL measurement (paper §3.2: \
          'instead of trusting Application X running alongside Application Y \
          on top of OS Z'), and the attestation leaks nothing else."
-    );
+    )
 }

@@ -2,12 +2,13 @@
 //! (paper: 906.2 ms average over 100 trials, dominated by Unseal; the RSA
 //! signature itself ≈ 4.7 ms).
 
+use crate::{eval_os, op_total, paper, render_table, Stats};
 use flicker_apps::{Csr, FlickerCa, IssuancePolicy};
-use flicker_bench::{eval_os, op_total, paper, print_table, Stats};
 use flicker_crypto::rng::XorShiftRng;
 use flicker_crypto::rsa::RsaPrivateKey;
+use std::fmt::{self, Write};
 
-fn main() {
+pub fn ca_eval(out: &mut String) -> fmt::Result {
     const TRIALS: usize = 100;
 
     let mut os = eval_os(10);
@@ -16,12 +17,13 @@ fn main() {
         max_certificates: u64::MAX,
     };
     let (mut ca, init_rec) = FlickerCa::init(&mut os, policy).expect("CA init");
-    println!(
+    writeln!(
+        out,
         "CA initialization session: {:.1} ms (keygen {:.1} ms, seal {:.1} ms)",
         init_rec.timings.total.as_secs_f64() * 1e3,
         op_total(&init_rec.op_log(), "rsa1024_keygen").as_secs_f64() * 1e3,
         op_total(&init_rec.op_log(), "seal").as_secs_f64() * 1e3,
-    );
+    )?;
 
     let mut rng = XorShiftRng::new(1010);
     let mut latency = Vec::new();
@@ -63,9 +65,10 @@ fn main() {
             format!("{:.2}", Stats::of(&sign_op).std_ms()),
         ],
     ];
-    print_table(
+    out.push_str(&render_table(
         "§7.4.2: Certificate Authority signing (ms, 100 trials)",
         &["Operation", "paper", "repro mean", "repro std"],
         &rows,
-    );
+    ));
+    Ok(())
 }

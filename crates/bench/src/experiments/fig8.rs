@@ -6,28 +6,21 @@
 //! figure's 1-10 s x-axis and compared with the flat `1/k` replication
 //! lines.
 
-use flicker_apps::{flicker_efficiency, replication_efficiency, BoincClient, WorkUnit};
-use flicker_bench::{eval_os, print_table};
+use super::distcomp_slice;
+use crate::{eval_os, render_table};
+use flicker_apps::{flicker_efficiency, replication_efficiency};
+use std::fmt::{self, Write};
 use std::time::Duration;
 
-fn main() {
+pub fn fig8(out: &mut String) -> fmt::Result {
     // Measure the real per-session overhead of a continuation session.
-    let mut os = eval_os(8);
-    let unit = WorkUnit {
-        n: 0xFFFF_FFFF_FFFF_FFC5,
-        lo: 2,
-        hi: u64::MAX,
-    };
-    let (mut client, _) = BoincClient::start(&mut os, unit).expect("init");
-    let report = client
-        .run_slice(&mut os, Duration::from_secs(1))
-        .expect("slice");
-    let overhead = report.overhead;
-    println!(
+    let overhead = distcomp_slice(&mut eval_os(8), Duration::from_secs(1)).overhead;
+    writeln!(
+        out,
         "Measured per-session Flicker overhead: {:.1} ms (paper: ~912.6 ms \
          = 14.3 SKINIT + 898.3 Unseal)",
         overhead.as_secs_f64() * 1e3
-    );
+    )?;
 
     let mut rows = Vec::new();
     for latency_s in 1..=10u64 {
@@ -47,7 +40,7 @@ fn main() {
             .to_string(),
         ]);
     }
-    print_table(
+    out.push_str(&render_table(
         "Figure 8: Efficiency vs user latency",
         &[
             "Latency [s]",
@@ -58,7 +51,7 @@ fn main() {
             "winner",
         ],
         &rows,
-    );
+    ));
 
     // Locate the crossover with 3-way replication.
     let mut lo = 0.0f64;
@@ -71,11 +64,12 @@ fn main() {
             lo = mid;
         }
     }
-    println!(
+    writeln!(
+        out,
         "\nFlicker overtakes 3-way replication at a user latency of {:.2} s \
          (paper: 'a two second user latency allows a more efficient \
          distributed application than replicating to three or more \
          machines').",
         hi
-    );
+    )
 }

@@ -1,12 +1,13 @@
 //! Regenerates **Figure 9**: server-side breakdown of the two SSH PALs,
 //! plus the §7.4.1 client-perceived latencies.
 
-use flicker_bench::{op_total, paper, print_table, provisioned_eval_os, Stats};
+use crate::{op_total, paper, provisioned_eval_os, render_table, Stats};
 use flicker_crypto::rng::XorShiftRng;
 use flicker_os::NetLink;
+use std::fmt::{self, Write};
 use std::time::Duration;
 
-fn main() {
+pub fn fig9(out: &mut String) -> fmt::Result {
     const TRIALS: usize = 100;
 
     let (mut os, cert, ca_pub) = provisioned_eval_os(9);
@@ -75,14 +76,14 @@ fn main() {
                 ]
             })
             .collect();
-        print_table(
+        render_table(
             title,
             &["Operation", "paper", "repro mean", "repro std"],
             &table,
-        );
+        )
     };
 
-    render(
+    out.push_str(&render(
         "Figure 9a: SSH PAL 1 (setup) server-side breakdown (ms)",
         &[
             ("SKINIT", &pal1_skinit),
@@ -91,16 +92,17 @@ fn main() {
             ("Total Time", &pal1_total),
         ],
         paper::FIG9A,
-    );
+    ));
     let kg = Stats::of(&pal1_keygen);
-    println!(
+    writeln!(
+        out,
         "Key Gen coefficient of variation: {:.0}% (paper: ~14%; the repro's \
          variance comes from the same geometric prime search, charged per \
          Miller-Rabin round)",
         100.0 * kg.std_ms() / kg.mean_ms()
-    );
+    )?;
 
-    render(
+    out.push_str(&render(
         "Figure 9b: SSH PAL 2 (login) server-side breakdown (ms)",
         &[
             ("SKINIT", &pal2_skinit),
@@ -109,18 +111,20 @@ fn main() {
             ("Total Time", &pal2_total),
         ],
         paper::FIG9B,
-    );
+    ));
 
-    println!(
+    writeln!(
+        out,
         "\nClient-perceived latencies (ms): to password prompt paper {:.0} / repro {:.0}; \
          password-to-session paper {:.0} / repro {:.0}.",
         paper::SSH_CLIENT.0,
         Stats::of(&to_prompt).mean_ms(),
         paper::SSH_CLIENT.1,
         Stats::of(&to_session).mean_ms(),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "(Unmodified OpenSSH: 210 ms / 10 ms — the delta is the price of a \
          password that never exists in cleartext outside a PAL.)"
-    );
+    )
 }

@@ -2,10 +2,11 @@
 //! from each paper module to the part of this reproduction implementing
 //! it, and checks the abstract's "as few as 250 lines" TCB claim.
 
-use flicker_bench::print_table;
+use crate::render_table;
 use flicker_core::modules::{paper_inventory, MINIMAL_TCB_LOC_BOUND};
+use std::fmt::{self, Write};
 
-fn main() {
+pub fn module_inventory(out: &mut String) -> fmt::Result {
     let inv = paper_inventory();
     let rows: Vec<Vec<String>> = inv
         .iter()
@@ -19,7 +20,7 @@ fn main() {
             ]
         })
         .collect();
-    print_table(
+    out.push_str(&render_table(
         "Figure 6: Modules that can be included in the PAL",
         &[
             "Module",
@@ -29,22 +30,24 @@ fn main() {
             "reproduction",
         ],
         &rows,
-    );
+    ));
 
     let mandatory: u32 = inv
         .iter()
         .filter(|m| m.mandatory)
         .map(|m| m.paper_loc)
         .sum();
-    println!(
+    writeln!(
+        out,
         "\nMandatory TCB: {mandatory} LoC (SLB Core). With OS Protection \
          (+5) and a ~100-line PAL, the total stays under the paper's \
          '{MINIMAL_TCB_LOC_BOUND} lines of additional code' headline."
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "Full optional stack (all modules): {} LoC — still three orders of \
          magnitude below a Xen+Dom0 TCB (the paper's ~50k + millions \
          comparison in §3.2).",
         inv.iter().map(|m| m.paper_loc).sum::<u32>()
-    );
+    )
 }

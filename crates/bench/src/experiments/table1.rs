@@ -2,11 +2,12 @@
 //! plus the end-to-end query latency experiment (§7.2: "Over 25
 //! experiments, the average query time was 1.02 seconds").
 
+use crate::{ms, op_total, paper, provisioned_eval_os, render_table, Stats};
 use flicker_apps::rootkit::{known_good_hash, Administrator};
-use flicker_bench::{ms, op_total, paper, print_table, provisioned_eval_os, Stats};
 use flicker_os::NetLink;
+use std::fmt::{self, Write};
 
-fn main() {
+pub fn table1(out: &mut String) -> fmt::Result {
     const TRIALS: usize = 25;
     let (mut os, cert, ca_pub) = provisioned_eval_os(1);
     let mut admin = Administrator::new(
@@ -53,20 +54,22 @@ fn main() {
         })
         .collect();
 
-    print_table(
+    out.push_str(&render_table(
         "Table 1: Breakdown of Rootkit Detector Overhead (ms)",
         &["Operation", "paper", "repro mean", "repro std"],
         &table,
-    );
-    println!(
+    ));
+    writeln!(
+        out,
         "\nEnd-to-end: paper avg 1.02 s over 25 trials (std < 1.4 ms); \
          repro avg {} ms over {TRIALS} trials (std {:.2} ms).",
         ms(Stats::of(&total).mean),
         Stats::of(&total).std_ms()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "Note: the repro's hashing covers the detector's kernel hash; the \
          launch uses the §7.2 hashing-stub path, matching the paper's \
          Table 1 configuration (SKINIT ≈ 14-15 ms)."
-    );
+    )
 }

@@ -1,15 +1,16 @@
 //! Regenerates **Table 2**: `SKINIT` duration vs SLB size, and the §7.2
 //! hashing-stub optimisation measurement.
 
-use flicker_bench::{paper, print_table};
+use crate::{paper, render_table};
 use flicker_core::HASHING_STUB_SIZE;
 use flicker_machine::{Machine, MachineConfig, Stopwatch};
+use std::fmt::{self, Write};
 
 /// Runs a raw SKINIT with an SLB of exactly `size` bytes and returns the
 /// measured virtual duration.
 fn measure_skinit(size: usize) -> f64 {
     let mut config = MachineConfig::default();
-    config.tpm.key_bits = flicker_bench::EVAL_TPM_KEY_BITS;
+    config.tpm.key_bits = crate::EVAL_TPM_KEY_BITS;
     let mut m = Machine::new(config);
     // Quiesce the AP.
     for id in 1..m.cpus().len() {
@@ -30,7 +31,7 @@ fn measure_skinit(size: usize) -> f64 {
     t.as_secs_f64() * 1e3
 }
 
-fn main() {
+pub fn table2(out: &mut String) -> fmt::Result {
     let mut rows = Vec::new();
     for &(kb, paper_ms) in paper::TABLE2 {
         let model = if kb == 0 {
@@ -45,18 +46,19 @@ fn main() {
             format!("{model:.1}"),
         ]);
     }
-    print_table(
+    out.push_str(&render_table(
         "Table 2: SKINIT duration vs SLB size (ms)",
         &["SLB KB", "paper", "repro"],
         &rows,
-    );
+    ));
 
     // §7.2 optimisation: the 4 736-byte hashing stub.
     let stub = measure_skinit(HASHING_STUB_SIZE);
     let full = measure_skinit(64 * 1024);
-    println!(
+    writeln!(
+        out,
         "\n§7.2 optimisation: {HASHING_STUB_SIZE}-byte hashing-stub SKINIT = {stub:.1} ms \
          (paper: 14 ms); saving vs 64 KB SLB = {:.0} ms (paper: 164 ms).",
         full - stub
-    );
+    )
 }

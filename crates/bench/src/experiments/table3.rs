@@ -9,11 +9,12 @@
 //! same ±σ build noise the paper measured (its no-detection row has a
 //! 2.6 s std-dev) and report mean ± std over five trials per period.
 
+use crate::{eval_os, min_sec, paper, render_table};
 use flicker_apps::rootkit::detector_slb;
-use flicker_bench::{eval_os, min_sec, paper, print_table};
 use flicker_core::{run_session, SessionParams};
 use flicker_crypto::{CryptoRng, HmacDrbg};
 use flicker_os::{Job, Scheduler};
+use std::fmt::{self, Write};
 use std::time::Duration;
 
 /// CPU work of the kernel build: 7:22.6 wall on 2 cores.
@@ -72,14 +73,14 @@ fn simulate_build(period: Option<Duration>, trial: u64) -> Duration {
     }
 }
 
-fn main() {
+pub fn table3(out: &mut String) -> fmt::Result {
     let mut rows = Vec::new();
     for &(period_s, paper_time, paper_std) in paper::TABLE3 {
         let period = period_s.map(Duration::from_secs);
         let samples: Vec<Duration> = (0..TRIALS as u64)
             .map(|t| simulate_build(period, t + period_s.unwrap_or(0)))
             .collect();
-        let stats = flicker_bench::Stats::of(&samples);
+        let stats = crate::Stats::of(&samples);
         let label = match period_s {
             None => "No Detection".to_string(),
             Some(s) => format!("{}:{:02}", s / 60, s % 60),
@@ -92,7 +93,7 @@ fn main() {
             format!("{:.1}", stats.std_dev.as_secs_f64()),
         ]);
     }
-    print_table(
+    out.push_str(&render_table(
         "Table 3: Impact of the Rootkit Detector on kernel build time",
         &[
             "Detection Period",
@@ -102,10 +103,11 @@ fn main() {
             "repro std [s]",
         ],
         &rows,
-    );
-    println!(
+    ));
+    writeln!(
+        out,
         "\nAs in the paper, the detector's ~37 ms pauses are far below the \
          build's run-to-run noise; even a 30 s period costs < 0.6 s of a \
          442 s build (0.13 %)."
-    );
+    )
 }

@@ -1,24 +1,15 @@
 //! Regenerates **Table 4**: Flicker overhead for the distributed-computing
 //! application at varying work-slice lengths.
 
-use flicker_apps::{BoincClient, WorkUnit};
-use flicker_bench::{eval_os, op_total, paper, print_table};
+use super::distcomp_slice;
+use crate::{eval_os, op_total, paper, render_table};
+use std::fmt::{self, Write};
 use std::time::Duration;
 
-fn main() {
+pub fn table4(out: &mut String) -> fmt::Result {
     let mut rows = Vec::new();
     for &(work_ms, paper_overhead_pct) in paper::TABLE4 {
-        let mut os = eval_os(4);
-        // A unit big enough to fill the longest slice.
-        let unit = WorkUnit {
-            n: 0xFFFF_FFFF_FFFF_FFC5, // a large prime: worst-case full scan
-            lo: 2,
-            hi: u64::MAX,
-        };
-        let (mut client, _) = BoincClient::start(&mut os, unit).expect("init");
-        let report = client
-            .run_slice(&mut os, Duration::from_millis(work_ms))
-            .expect("slice");
+        let report = distcomp_slice(&mut eval_os(4), Duration::from_millis(work_ms));
 
         let skinit = report.session.timings.skinit;
         let unseal = op_total(&report.session.op_log(), "unseal");
@@ -33,7 +24,7 @@ fn main() {
             format!("{overhead_pct:.0}%"),
         ]);
     }
-    print_table(
+    out.push_str(&render_table(
         "Table 4: Distributed-computing operations vs work-slice length",
         &[
             "App work [ms]",
@@ -43,10 +34,11 @@ fn main() {
             "repro overhead",
         ],
         &rows,
-    );
-    println!(
+    ));
+    writeln!(
+        out,
         "\nPaper constants: SKINIT {} ms (hashing-stub launch), Unseal {} ms.",
         paper::TABLE4_SKINIT,
         paper::TABLE4_UNSEAL
-    );
+    )
 }

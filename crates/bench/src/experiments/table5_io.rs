@@ -8,8 +8,9 @@
 //! long suspensions, corrupting the stream — the reason Flicker-aware
 //! drivers are proposed as future work.
 
-use flicker_bench::print_table;
+use crate::render_table;
 use flicker_os::{CopyConfig, CopyExperiment, CopyReport, Pacing};
+use std::fmt::{self, Write};
 use std::time::Duration;
 
 /// Paper cadence: 8.3 s sessions, 37 ms OS windows.
@@ -48,7 +49,7 @@ fn baseline(total: u64, rate: u64) -> Duration {
     copy.finish().elapsed
 }
 
-fn main() {
+pub fn table5_io(out: &mut String) -> fmt::Result {
     // The paper's transfers: 1 GB HDD<->USB, 50-200 MB AVI files from
     // CD-ROM. Scaled to 1/8 size to keep the harness fast; rates are
     // era-appropriate.
@@ -76,7 +77,7 @@ fn main() {
             format!("{:.1}x", r.elapsed.as_secs_f64() / base.as_secs_f64()),
         ]);
     }
-    print_table(
+    out.push_str(&render_table(
         "§7.5: File copies during back-to-back 8.3 s Flicker sessions (host-paced devices)",
         &[
             "Transfer",
@@ -87,14 +88,15 @@ fn main() {
             "slowdown",
         ],
         &rows,
-    );
-    println!(
+    ));
+    writeln!(
+        out,
         "\nPaper result reproduced: host-paced block devices lose *time*, \
          never *data* — the kernel saw no I/O errors and every md5 matched. \
          (The paper reports only integrity, not copy wall-time; with a \
          0.44% OS duty cycle the slowdown is necessarily ~225x, which is \
          why §7.5 recommends scheduling transfers outside sessions.)"
-    );
+    )?;
 
     // Failure injection: a free-running source (what §7.5's warning is
     // really about).
@@ -115,15 +117,16 @@ fn main() {
             format!("{}", r.lost),
         ]);
     }
-    print_table(
+    out.push_str(&render_table(
         "Failure injection: free-running source across 8.3 s suspensions",
         &["Configuration", "md5 integrity", "bytes lost"],
         &rows,
-    );
-    println!(
+    ));
+    writeln!(
+        out,
         "\nAn 8.3 s suspension at 1.5 MB/s produces ~12.5 MB the host never \
          fetches: only an impractically large device buffer saves the \
          stream. This is the case for Flicker-aware drivers / quiescing \
          the paper raises as future work."
-    );
+    )
 }

@@ -24,7 +24,7 @@
 //!   (ring-buffer truncation fails the run), and the SLO report must hold.
 
 use crate::json::Value;
-use crate::print_table;
+use crate::render_table;
 use flicker_farm::FarmReport;
 use flicker_trace::attribution::{
     self, categories, FarmAttribution, RequestMeta, ShardStream, SloPolicy, SloReport,
@@ -343,11 +343,12 @@ pub fn print_summary(attr: &FarmAttribution, slo: &SloReport) {
             ]
         })
         .collect();
-    print_table(
+    let table = render_table(
         "Latency attribution (virtual ms across all requests)",
         &["category", "total_ms", "share"],
         &rows,
     );
+    print!("{table}");
 
     let rows: Vec<Vec<String>> = slo
         .workloads
@@ -364,7 +365,7 @@ pub fn print_summary(attr: &FarmAttribution, slo: &SloReport) {
             ]
         })
         .collect();
-    print_table(
+    let table = render_table(
         "SLO verdicts (per workload)",
         &[
             "workload",
@@ -377,6 +378,7 @@ pub fn print_summary(attr: &FarmAttribution, slo: &SloReport) {
         ],
         &rows,
     );
+    print!("{table}");
     println!(
         "\nattribution coverage: min {:.4} over {} requests \
          ({:.1} ms unattributed farm-wide)",

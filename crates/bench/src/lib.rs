@@ -1,7 +1,7 @@
 //! Shared infrastructure for the evaluation harness.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure from the
-//! paper's §7, printing the paper's reported values next to this
+//! Each function in [`experiments`] regenerates one table or figure from
+//! the paper's §7, printing the paper's reported values next to this
 //! reproduction's simulated measurements. Absolute agreement is expected
 //! for modelled quantities (they are calibrated from the paper); the
 //! interesting outputs are the *derived* numbers — totals, percentages,
@@ -13,6 +13,7 @@ use flicker_tpm::{PrivacyCa, TpmTimingProfile};
 use std::time::Duration;
 
 pub mod baseline;
+pub mod experiments;
 pub mod farmattr;
 pub mod faultsweep;
 pub mod json;
@@ -166,16 +167,16 @@ pub fn ms(d: Duration) -> String {
     format!("{:.1}", d.as_secs_f64() * 1e3)
 }
 
-/// Formats `m:ss.s` like the paper's Table 3.
+/// Formats `m:ss.s` like the paper's Table 3. Rounds to tenths before
+/// splitting off the minutes, so 479.96 s reads `8:00.0`.
 pub fn min_sec(d: Duration) -> String {
-    let total = d.as_secs_f64();
-    let minutes = (total / 60.0).floor() as u64;
-    format!("{}:{:04.1}", minutes, total - minutes as f64 * 60.0)
+    let tenths = (d.as_secs_f64() * 10.0).round() as u64;
+    format!("{}:{:02}.{}", tenths / 600, tenths % 600 / 10, tenths % 10)
 }
 
-/// Prints a table header + aligned rows.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
+/// Renders a table: a `=== title ===` line after a blank one, then the
+/// header, a rule and the rows, each cell right-aligned to its column.
+pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -191,14 +192,13 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
             .join("  ")
     };
     let hdr: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    println!("{}", fmt_row(&hdr));
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
-    );
+    let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1));
+    let mut out = format!("\n=== {title} ===\n{}\n{rule}\n", fmt_row(&hdr));
     for row in rows {
-        println!("{}", fmt_row(row));
+        out += &fmt_row(row);
+        out.push('\n');
     }
+    out
 }
 
 /// Looks up an operation's total simulated time in a session op log.
@@ -285,6 +285,8 @@ mod tests {
     fn formatting() {
         assert_eq!(ms(Duration::from_micros(15_400)), "15.4");
         assert_eq!(min_sec(Duration::from_secs_f64(442.6)), "7:22.6");
+        assert_eq!(min_sec(Duration::from_secs_f64(479.96)), "8:00.0");
+        assert_eq!(min_sec(Duration::from_secs_f64(59.97)), "1:00.0");
     }
 
     #[test]

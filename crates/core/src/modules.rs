@@ -3,8 +3,9 @@
 //! Flicker's TCB argument is quantitative: the mandatory SLB Core is 94
 //! lines, and each optional module a PAL links adds a known amount. This
 //! module records the paper's inventory and maps each entry to the part of
-//! this reproduction that implements it, so the `module_inventory` bench
-//! target can regenerate the figure side by side.
+//! this reproduction that implements it, so the `module_inventory`
+//! experiment (`run_all module_inventory` in `flicker-bench`) can
+//! regenerate the figure side by side.
 
 /// One row of Figure 6.
 #[derive(Debug, Clone, PartialEq)]

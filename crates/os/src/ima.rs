@@ -7,7 +7,8 @@
 //! "Typically, the verifier must assess a list of all software loaded
 //! since boot time (including the OS) and its configuration information."
 //!
-//! The `attestation_granularity` bench target quantifies the §3.2
+//! The `attestation_granularity` experiment (`run_all
+//! attestation_granularity` in `flicker-bench`) quantifies the §3.2
 //! comparison: the verifier's burden here is the whole log; with Flicker
 //! it is one PAL measurement.
 

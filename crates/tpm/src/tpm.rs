@@ -208,13 +208,13 @@ impl Tpm {
         self.elapsed += d;
         if let Some(t) = &self.tracer {
             t.observe(ordinal, d);
+            let spec_name = ordinal.strip_prefix("tpm.").unwrap_or(ordinal);
+            self.pending_events.push(EventKind::TpmCommand {
+                ordinal: spec_name.to_string(),
+                locality: 0,
+                dur_ns: u64::try_from(d.as_nanos()).unwrap_or(u64::MAX),
+            });
         }
-        let spec_name = ordinal.strip_prefix("tpm.").unwrap_or(ordinal);
-        self.pend(EventKind::TpmCommand {
-            ordinal: spec_name.to_string(),
-            locality: 0,
-            dur_ns: u64::try_from(d.as_nanos()).unwrap_or(u64::MAX),
-        });
     }
 
     /// Queues a flight-recorder event. The TPM has no clock (it sits below

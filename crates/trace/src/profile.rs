@@ -21,6 +21,7 @@
 //! flamegraph renderer reads: one `frame;frame;frame weight` line per
 //! stack, weights in virtual nanoseconds.
 
+use crate::event::escape;
 use crate::{EventKind, Trace};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -312,10 +313,11 @@ fn collect_folded(path: &str, node: &ProfileNode, out: &mut BTreeMap<String, u64
 }
 
 fn chrome_node(name: &str, node: &ProfileNode, start_ns: u64, entries: &mut Vec<String>) {
+    let mut escaped = String::new();
+    escape(name, &mut escaped);
     entries.push(format!(
-        "{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"profile\",\"pid\":1,\"tid\":1,\
+        "{{\"ph\":\"X\",\"name\":\"{escaped}\",\"cat\":\"profile\",\"pid\":1,\"tid\":1,\
          \"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"count\":{},\"self_ns\":{}}}}}",
-        escape(name),
         start_ns as f64 / 1e3,
         node.total_ns as f64 / 1e3,
         node.count,
@@ -326,10 +328,6 @@ fn chrome_node(name: &str, node: &ProfileNode, start_ns: u64, entries: &mut Vec<
         chrome_node(cname, c, offset, entries);
         offset += c.total_ns;
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Parses collapsed-stack text (the exact format [`Profile::folded`]
@@ -522,6 +520,20 @@ mod tests {
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"name\":\"session\""));
         assert!(json.contains("\"name\":\"tpm.TPM_Unseal\""));
+
+        // A control character in a frame name must not reach the JSON raw.
+        let t = session_trace();
+        t.event(
+            Duration::from_millis(65),
+            EventKind::TpmCommand {
+                ordinal: "TPM\nX".into(),
+                locality: 0,
+                dur_ns: 1_000_000,
+            },
+        );
+        let json = build(&t).to_chrome_json();
+        assert!(json.contains("\"name\":\"tpm.TPM\\nX\""), "{json}");
+        assert!(!json.contains('\n'));
     }
 
     #[test]

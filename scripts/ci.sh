@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
+# The workspace tests are also the paper-table gate: crates/bench/tests/
+# golden.rs runs every §7 experiment in-process and fails on any byte that
+# differs from the committed experiments_output.txt.
 cargo test --workspace -q
 # The bignum kernel again in release: debug_assert! compiled out and
 # integer arithmetic wrapping instead of trapping.
