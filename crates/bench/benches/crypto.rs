@@ -6,6 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use flicker_crypto::aes::Aes128;
+use flicker_crypto::drbg::HmacDrbg;
 use flicker_crypto::hmac::Hmac;
 use flicker_crypto::md5::md5;
 use flicker_crypto::md5crypt::md5crypt;
@@ -15,6 +16,7 @@ use flicker_crypto::pkcs1;
 use flicker_crypto::rng::XorShiftRng;
 use flicker_crypto::rsa::RsaPrivateKey;
 use flicker_crypto::sha1::{sha1, Sha1};
+use flicker_crypto::sha256::{sha256, Sha256};
 
 fn bench_hashes(c: &mut Criterion) {
     let mut g = c.benchmark_group("sha1");
@@ -32,6 +34,17 @@ fn bench_hashes(c: &mut Criterion) {
         let window = vec![0x5Au8; 64 * 1024];
         b.iter(|| sha1(&window));
     });
+
+    // The HMAC-DRBG's hash, which draws every platform's kernel and keys.
+    let mut g = c.benchmark_group("sha256");
+    for size in [64usize, 4096, 65536] {
+        let data = vec![0xABu8; size];
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_with_input(BenchmarkId::from_parameter(size), &data, |b, d| {
+            b.iter(|| sha256(d));
+        });
+    }
+    g.finish();
 
     // §7.5's integrity check and the inner hash of md5crypt.
     let mut g = c.benchmark_group("md5");
@@ -65,6 +78,30 @@ fn bench_symmetric(c: &mut Criterion) {
     c.bench_function("md5crypt", |b| {
         b.iter(|| md5crypt(b"hunter2", b"fl1ck3r"));
     });
+}
+
+/// The TPM's random number generator: one HMAC-DRBG block with its key
+/// set-up, then whole draws of a 20-byte nonce and of the 2 MB text of
+/// the evaluation kernel.
+fn bench_drbg(c: &mut Criterion) {
+    c.bench_function("hmac_sha256/32", |b| {
+        let v = [1u8; 32];
+        b.iter(|| Hmac::<Sha256>::mac(&[2u8; 32], &v));
+    });
+
+    let mut g = c.benchmark_group("drbg/generate");
+    for size in [20usize, 2_000_000] {
+        let mut drbg = HmacDrbg::new(b"bench-entropy", b"bench-nonce");
+        let mut out = vec![0u8; size];
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_function(&size.to_string(), |b| {
+            b.iter(|| {
+                drbg.generate(&mut out);
+                out[0]
+            });
+        });
+    }
+    g.finish();
 }
 
 fn bench_rsa(c: &mut Criterion) {
@@ -126,6 +163,7 @@ criterion_group!(
     benches,
     bench_hashes,
     bench_symmetric,
+    bench_drbg,
     bench_rsa,
     bench_mpint
 );

@@ -195,7 +195,7 @@ fn main() -> ExitCode {
         p99,
         farmattr::farm_attr_value(&attr, &slo),
     );
-    if let Err(e) = append_line(&trajectory, &line) {
+    if let Err(e) = flicker_bench::trajectory::append(&trajectory, line) {
         eprintln!("appending {trajectory}: {e}");
         return ExitCode::FAILURE;
     }
@@ -216,19 +216,6 @@ fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
-/// Best-effort current commit; missing `git` degrades to `"unknown"`.
-fn current_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
-}
-
 #[allow(clippy::too_many_arguments)]
 fn trajectory_line(
     report: &flicker_farm::FarmReport,
@@ -239,7 +226,7 @@ fn trajectory_line(
     p95: Duration,
     p99: Duration,
     farm_attr: Value,
-) -> Value {
+) -> BTreeMap<String, Value> {
     let num = |v: f64| Value::Number(v);
     let dur_ms = |d: Duration| Value::Number(d.as_secs_f64() * 1e3);
     let farm = Value::Object(BTreeMap::from([
@@ -257,26 +244,9 @@ fn trajectory_line(
         ("p95_ms".into(), dur_ms(p95)),
         ("p99_ms".into(), dur_ms(p99)),
     ]));
-    Value::Object(BTreeMap::from([
-        (
-            "schema".into(),
-            Value::String("flicker-bench-trajectory/v1".into()),
-        ),
-        ("commit".into(), Value::String(current_commit())),
+    BTreeMap::from([
         ("quick".into(), Value::Bool(quick)),
         ("farm".into(), farm),
         ("farm_attr".into(), farm_attr),
-    ]))
-}
-
-fn append_line(path: &str, line: &Value) -> Result<(), String> {
-    let mut text = line.to_compact();
-    text.push('\n');
-    use std::io::Write as _;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| e.to_string())?;
-    f.write_all(text.as_bytes()).map_err(|e| e.to_string())
+    ])
 }

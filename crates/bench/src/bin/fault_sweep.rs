@@ -7,42 +7,41 @@
 //! the process exit non-zero. Violating schedules dump their full flight
 //! record as JSONL (replayable with `flicker_trace_tool audit --jsonl`).
 //!
-//! Usage: `fault_sweep [--seed N] [--schedules N] [--quick] [--dump-dir DIR]`
+//! Usage: `fault_sweep [--seed N] [--schedules N] [--quick] [--dump-dir DIR]`;
+//! an argument error prints that line and exits 2.
 
 use flicker_bench::faultsweep::{run_sweep, Outcome, APPS};
 use flicker_bench::render_table;
 use std::io::Write as _;
 use std::path::Path;
+use std::process::ExitCode;
 
 /// `--quick` schedule count: enough to exercise every app and fault kind,
 /// small enough for a CI gate.
 const QUICK_SCHEDULES: u64 = 25;
 
-fn main() {
+fn main() -> ExitCode {
     let mut base_seed = 0u64;
     let mut schedules = 200u64;
     let mut quick = false;
     let mut dump_dir = String::from("target");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs an argument"))
-        };
         match arg.as_str() {
-            "--seed" => {
-                base_seed = value("--seed")
-                    .parse()
-                    .expect("--seed needs a numeric argument");
-            }
-            "--schedules" => {
-                schedules = value("--schedules")
-                    .parse()
-                    .expect("--schedules needs a numeric argument");
-            }
+            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(n) => base_seed = n,
+                None => return usage("--seed needs a number"),
+            },
+            "--schedules" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(n) => schedules = n,
+                None => return usage("--schedules needs a count"),
+            },
             "--quick" => quick = true,
-            "--dump-dir" => dump_dir = value("--dump-dir"),
-            other => panic!("unknown argument: {other}"),
+            "--dump-dir" => match args.next() {
+                Some(dir) => dump_dir = dir,
+                None => return usage("--dump-dir needs a directory"),
+            },
+            other => return usage(&format!("unknown argument {other:?}")),
         }
     }
     if quick {
@@ -101,8 +100,18 @@ fn main() {
         report.survived, report.recovered, report.violations
     );
     if report.violations > 0 {
-        std::process::exit(1);
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
+}
+
+/// Prints `err` and the usage line. The exit code, 2, tells an argument
+/// error apart from a violation's 1.
+fn usage(err: &str) -> ExitCode {
+    eprintln!("error: {err}");
+    eprintln!("usage: fault_sweep [--seed N] [--schedules N] [--quick] [--dump-dir DIR]");
+    ExitCode::from(2)
 }
 
 /// Writes one violating schedule's events to

@@ -19,7 +19,7 @@
 use flicker_bench::baseline::{audit_flight, run_baseline_traced, validate, BaselineConfig};
 use flicker_bench::json::{self, Value};
 use flicker_bench::profile::{share_drift, stack_shares, trajectory_extension, MAX_SHARE_DRIFT};
-use flicker_bench::render_table;
+use flicker_bench::{render_table, trajectory};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -123,20 +123,6 @@ fn check_against(path: &str, doc: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Best-effort current commit for trajectory lines; benches must run in
-/// exported tarballs too, so a missing `git` degrades to `"unknown"`.
-fn current_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
-}
-
 /// Appends one JSONL summary line (commit, quick, sessions, per-app
 /// p50/p95, plus the compact `profile` extension) to the trajectory file,
 /// creating it if absent.
@@ -154,12 +140,7 @@ fn append_trajectory(path: &str, doc: &Value, sessions: u64) -> Result<(), Strin
             );
         }
     }
-    let line = Value::Object(BTreeMap::from([
-        (
-            "schema".into(),
-            Value::String("flicker-bench-trajectory/v1".into()),
-        ),
-        ("commit".into(), Value::String(current_commit())),
+    let line = BTreeMap::from([
         (
             "quick".into(),
             doc.get("quick").cloned().unwrap_or(Value::Null),
@@ -167,16 +148,8 @@ fn append_trajectory(path: &str, doc: &Value, sessions: u64) -> Result<(), Strin
         ("sessions".into(), Value::Number(sessions as f64)),
         ("apps".into(), Value::Object(apps)),
         ("profile".into(), trajectory_extension(doc)),
-    ]));
-    let mut text = line.to_compact();
-    text.push('\n');
-    use std::io::Write as _;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| e.to_string())?;
-    f.write_all(text.as_bytes()).map_err(|e| e.to_string())
+    ]);
+    trajectory::append(path, line)
 }
 
 /// Prints one aligned table per latency section, then the hottest stacks.

@@ -86,7 +86,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if value.get("schema").and_then(Value::as_str) != Some("flicker-bench-trajectory/v1") {
+        if value.get("schema").and_then(Value::as_str) != Some(flicker_bench::trajectory::SCHEMA) {
             eprintln!("{trajectory}:{}: unknown schema", lineno + 1);
             return ExitCode::FAILURE;
         }

@@ -27,7 +27,7 @@ use crate::json::Value;
 use crate::render_table;
 use flicker_farm::FarmReport;
 use flicker_trace::attribution::{
-    self, categories, FarmAttribution, RequestMeta, ShardStream, SloPolicy, SloReport,
+    self, FarmAttribution, RequestMeta, ShardStream, SloPolicy, SloReport,
 };
 use flicker_trace::{export, Event};
 use std::collections::BTreeMap;
@@ -457,14 +457,6 @@ pub fn render_timeline(flight: &FarmFlight, limit: usize) -> String {
         out.push_str(&format!("... {} more events\n", total - limit));
     }
     out
-}
-
-/// Names every category the substrate can charge — exported so the docs
-/// and the dashboard agree on the taxonomy.
-pub fn category_names() -> Vec<&'static str> {
-    let mut names = vec![categories::QUEUE_WAIT];
-    names.extend(categories::ON_SHARD);
-    names
 }
 
 #[cfg(test)]

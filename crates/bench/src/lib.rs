@@ -18,6 +18,7 @@ pub mod farmattr;
 pub mod faultsweep;
 pub mod json;
 pub mod profile;
+pub mod trajectory;
 
 /// Whether an error string carries one of PalVM's *safety* fault
 /// signatures — the faults the static verifier proves away. A verified

@@ -14,8 +14,20 @@ pub trait Digest: Default + Clone {
     /// Absorbs `data` into the hash state.
     fn update(&mut self, data: &[u8]);
 
+    /// Consumes the hasher and writes the digest into `out`, without
+    /// allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out` is exactly `OUTPUT_LEN` bytes long.
+    fn finalize_into(self, out: &mut [u8]);
+
     /// Consumes the hasher and returns the digest (`OUTPUT_LEN` bytes).
-    fn finalize(self) -> Vec<u8>;
+    fn finalize(self) -> Vec<u8> {
+        let mut out = vec![0; Self::OUTPUT_LEN];
+        self.finalize_into(&mut out);
+        out
+    }
 
     /// Convenience one-shot helper: hash `data` in a single call.
     fn digest(data: &[u8]) -> Vec<u8> {
@@ -96,6 +108,23 @@ impl<const N: usize> BlockBuffer<N> {
     }
 }
 
+/// Writes `words` into `out` one after another, each as `to_bytes`
+/// serialises it: how every hash here emits its final chaining state.
+///
+/// # Panics
+///
+/// Panics unless `out` holds exactly the words' bytes.
+pub(crate) fn store_words<W: Copy, const B: usize>(
+    out: &mut [u8],
+    words: &[W],
+    to_bytes: fn(W) -> [u8; B],
+) {
+    assert_eq!(out.len(), words.len() * B, "digest output length");
+    for (bytes, &word) in out.as_chunks_mut::<B>().0.iter_mut().zip(words) {
+        *bytes = to_bytes(word);
+    }
+}
+
 /// Test-only oracles shared by the four hashes' test modules.
 #[cfg(test)]
 pub(crate) mod reference {
@@ -149,13 +178,19 @@ pub(crate) mod reference {
 
     /// Checks `D` against `reference` on every length of [`lengths`]: the
     /// whole message in one `update`, one byte per `update`, and split in
-    /// two at 0, 1, 63, 64, 65, `len / 2`, `len − 1` and `len` bytes.
+    /// two at 0, 1, 63, 64, 65, `len / 2`, `len − 1` and `len` bytes; the
+    /// whole message also through [`Digest::finalize_into`].
     pub(crate) fn check_streaming<D: Digest>(reference: impl Fn(&[u8]) -> Vec<u8>) {
         for len in lengths() {
             let data = message(len);
             let want = reference(&data);
             assert_eq!(want.len(), D::OUTPUT_LEN);
             assert_eq!(D::digest(&data), want, "whole, len={len}");
+            let mut h = D::default();
+            h.update(&data);
+            let mut into = vec![0xa5; D::OUTPUT_LEN];
+            h.finalize_into(&mut into);
+            assert_eq!(into, want, "finalize_into, len={len}");
             let mut h = D::default();
             for byte in data.chunks(1) {
                 h.update(byte);

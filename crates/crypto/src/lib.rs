@@ -19,10 +19,12 @@
 //!
 //! These implementations favour clarity and auditability over speed, like
 //! the original PAL libraries did, except on the measured host hot paths:
-//! Montgomery exponentiation ([`montgomery`]) and the unrolled SHA-1 and
-//! MD5 compression functions. All four hashes share one block buffer and
-//! padding routine ([`digest`]). They are validated against published
-//! test vectors in each module's unit tests.
+//! Montgomery exponentiation ([`montgomery`]); the unrolled SHA-1, MD5 and
+//! SHA-256 compression functions; and the HMAC-DRBG ([`drbg`]), which
+//! draws every simulated platform's kernel image and TPM keys and keys its
+//! allocation-free HMAC once per request. All four hashes share one block
+//! buffer and padding routine ([`digest`]). They are validated against
+//! published test vectors in each module's unit tests.
 
 pub mod aes;
 pub mod cost;

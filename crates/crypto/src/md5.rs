@@ -5,7 +5,7 @@
 //! built on MD5. MD5 is cryptographically broken and must not be used for
 //! anything but that compatibility path.
 
-use crate::digest::{BlockBuffer, Digest};
+use crate::digest::{self, BlockBuffer, Digest};
 
 /// Length in bytes of an MD5 digest.
 pub const OUTPUT_LEN: usize = 16;
@@ -142,21 +142,22 @@ impl Digest for Md5 {
             .update(data, |block| Self::compress(&mut self.state, block));
     }
 
-    fn finalize(mut self) -> Vec<u8> {
+    fn finalize_into(mut self, out: &mut [u8]) {
         // MD5 appends the bit length little-endian, unlike the SHA family.
         let bit_len = self.buffer.message_len().wrapping_mul(8);
         self.buffer.finish(bit_len.to_le_bytes(), |block| {
             Self::compress(&mut self.state, block)
         });
-        self.state.iter().flat_map(|w| w.to_le_bytes()).collect()
+        digest::store_words(out, &self.state, u32::to_le_bytes);
     }
 }
 
 /// One-shot MD5 returning a fixed-size array.
 pub fn md5(data: &[u8]) -> [u8; OUTPUT_LEN] {
-    let v = Md5::digest(data);
+    let mut h = Md5::default();
+    h.update(data);
     let mut out = [0u8; OUTPUT_LEN];
-    out.copy_from_slice(&v);
+    h.finalize_into(&mut out);
     out
 }
 

@@ -7,7 +7,7 @@
 //! here for protocol fidelity, not as an endorsement of SHA-1's residual
 //! collision resistance.
 
-use crate::digest::{BlockBuffer, Digest};
+use crate::digest::{self, BlockBuffer, Digest};
 
 /// Length in bytes of a SHA-1 digest.
 pub const OUTPUT_LEN: usize = 20;
@@ -126,20 +126,21 @@ impl Digest for Sha1 {
             .update(data, |block| Self::compress(&mut self.state, block));
     }
 
-    fn finalize(mut self) -> Vec<u8> {
+    fn finalize_into(mut self, out: &mut [u8]) {
         let bit_len = self.buffer.message_len().wrapping_mul(8);
         self.buffer.finish(bit_len.to_be_bytes(), |block| {
             Self::compress(&mut self.state, block)
         });
-        self.state.iter().flat_map(|w| w.to_be_bytes()).collect()
+        digest::store_words(out, &self.state, u32::to_be_bytes);
     }
 }
 
 /// One-shot SHA-1 returning a fixed-size array.
 pub fn sha1(data: &[u8]) -> [u8; OUTPUT_LEN] {
-    let v = Sha1::digest(data);
+    let mut h = Sha1::default();
+    h.update(data);
     let mut out = [0u8; OUTPUT_LEN];
-    out.copy_from_slice(&v);
+    h.finalize_into(&mut out);
     out
 }
 

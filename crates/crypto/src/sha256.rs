@@ -2,9 +2,11 @@
 //!
 //! Used by the HMAC-DRBG ([`crate::drbg`]) that stands in for the TPM's
 //! internal random number generator, and available to PALs that want a
-//! stronger hash than the TPM-mandated SHA-1.
+//! stronger hash than the TPM-mandated SHA-1. Through the DRBG it is a
+//! measured host hot path, so its compression function is unrolled like
+//! SHA-1's.
 
-use crate::digest::{BlockBuffer, Digest};
+use crate::digest::{self, BlockBuffer, Digest};
 
 /// Length in bytes of a SHA-256 digest.
 pub const OUTPUT_LEN: usize = 32;
@@ -25,6 +27,32 @@ const K: [u32; 64] = [
     0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
+
+// The functions of FIPS 180-4 §4.1.2. Ch and Maj are written with one
+// operation fewer than the standard's form.
+fn ch(e: u32, f: u32, g: u32) -> u32 {
+    g ^ (e & (f ^ g))
+}
+
+fn maj(a: u32, b: u32, c: u32) -> u32 {
+    (a & b) | (c & (a | b))
+}
+
+fn big_sigma0(a: u32) -> u32 {
+    a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22)
+}
+
+fn big_sigma1(e: u32) -> u32 {
+    e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25)
+}
+
+fn small_sigma0(w: u32) -> u32 {
+    w.rotate_right(7) ^ w.rotate_right(18) ^ (w >> 3)
+}
+
+fn small_sigma1(w: u32) -> u32 {
+    w.rotate_right(17) ^ w.rotate_right(19) ^ (w >> 10)
+}
 
 /// Streaming SHA-256 hasher.
 ///
@@ -59,8 +87,133 @@ impl Sha256 {
         Self::default()
     }
 
+    /// The SHA-256 compression function (FIPS 180-4 §6.2.2), unrolled: a
+    /// 16-word rolling message schedule, and round groups that rename the
+    /// working variables instead of shifting them, so every round's constant
+    /// and message index is fixed at compile time.
     fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
         crate::cost::count(crate::cost::Primitive::Sha256Compress);
+        let mut w = [0u32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *word = u32::from_be_bytes(*bytes);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+
+        // Message word `i`: the block's own for the first 16 rounds, then
+        // W[i] = σ1(W[i-2]) + W[i-7] + σ0(W[i-15]) + W[i-16], stored over
+        // W[i-16].
+        macro_rules! w {
+            ($i:expr) => {{
+                if $i >= 16 {
+                    w[$i & 15] = w[$i & 15]
+                        .wrapping_add(small_sigma0(w[($i + 1) & 15]))
+                        .wrapping_add(w[($i + 9) & 15])
+                        .wrapping_add(small_sigma1(w[($i + 14) & 15]));
+                }
+                w[$i & 15]
+            }};
+        }
+        // One round: T1 goes into `h` and onto `d`, then T2 onto `h`; the
+        // next round names (h, a, b, c, d, e, f, g) as (a, b, ..., h).
+        macro_rules! round {
+            ($a:ident, $b:ident, $c:ident, $d:ident,
+             $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+                $h = $h
+                    .wrapping_add(big_sigma1($e))
+                    .wrapping_add(ch($e, $f, $g))
+                    .wrapping_add(const { K[$i] })
+                    .wrapping_add(w!($i));
+                $d = $d.wrapping_add($h);
+                $h = $h
+                    .wrapping_add(big_sigma0($a))
+                    .wrapping_add(maj($a, $b, $c));
+            };
+        }
+        // Eight rounds bring the names back to (a, b, c, d, e, f, g, h).
+        macro_rules! rounds {
+            ($($i:literal)+) => {$(
+                round!(a, b, c, d, e, f, g, h, $i);
+                round!(h, a, b, c, d, e, f, g, $i + 1);
+                round!(g, h, a, b, c, d, e, f, $i + 2);
+                round!(f, g, h, a, b, c, d, e, $i + 3);
+                round!(e, f, g, h, a, b, c, d, $i + 4);
+                round!(d, e, f, g, h, a, b, c, $i + 5);
+                round!(c, d, e, f, g, h, a, b, $i + 6);
+                round!(b, c, d, e, f, g, h, a, $i + 7);
+            )+};
+        }
+        rounds!(0 8 16 24 32 40 48 56);
+
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+impl Digest for Sha256 {
+    const OUTPUT_LEN: usize = OUTPUT_LEN;
+    const BLOCK_LEN: usize = BLOCK_LEN;
+
+    fn update(&mut self, data: &[u8]) {
+        self.buffer
+            .update(data, |block| Self::compress(&mut self.state, block));
+    }
+
+    fn finalize_into(mut self, out: &mut [u8]) {
+        let bit_len = self.buffer.message_len().wrapping_mul(8);
+        self.buffer.finish(bit_len.to_be_bytes(), |block| {
+            Self::compress(&mut self.state, block)
+        });
+        digest::store_words(out, &self.state, u32::to_be_bytes);
+    }
+}
+
+/// One-shot SHA-256 returning a fixed-size array.
+pub fn sha256(data: &[u8]) -> [u8; OUTPUT_LEN] {
+    let mut h = Sha256::default();
+    h.update(data);
+    let mut out = [0u8; OUTPUT_LEN];
+    h.finalize_into(&mut out);
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::digest::reference;
+    use crate::hex;
+
+    #[test]
+    fn fips_vectors() {
+        assert_eq!(
+            hex::encode(&sha256(b"")),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        );
+        assert_eq!(
+            hex::encode(&sha256(b"abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        assert_eq!(
+            hex::encode(&sha256(
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
+            )),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        );
+    }
+
+    #[test]
+    fn million_a() {
+        let data = vec![b'a'; 1_000_000];
+        assert_eq!(
+            hex::encode(&sha256(&data)),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        );
+    }
+
+    /// The rolled form of [`Sha256::compress`], the oracle the unrolled
+    /// one is checked against: a 64-word message schedule and one loop over
+    /// the rounds, with the standard's Ch and Maj.
+    fn compress_reference(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -100,76 +253,27 @@ impl Sha256 {
             *s = s.wrapping_add(v);
         }
     }
-}
 
-impl Digest for Sha256 {
-    const OUTPUT_LEN: usize = OUTPUT_LEN;
-    const BLOCK_LEN: usize = BLOCK_LEN;
-
-    fn update(&mut self, data: &[u8]) {
-        self.buffer
-            .update(data, |block| Self::compress(&mut self.state, block));
-    }
-
-    fn finalize(mut self) -> Vec<u8> {
-        let bit_len = self.buffer.message_len().wrapping_mul(8);
-        self.buffer.finish(bit_len.to_be_bytes(), |block| {
-            Self::compress(&mut self.state, block)
-        });
-        self.state.iter().flat_map(|w| w.to_be_bytes()).collect()
-    }
-}
-
-/// One-shot SHA-256 returning a fixed-size array.
-pub fn sha256(data: &[u8]) -> [u8; OUTPUT_LEN] {
-    let v = Sha256::digest(data);
-    let mut out = [0u8; OUTPUT_LEN];
-    out.copy_from_slice(&v);
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::digest::reference;
-    use crate::hex;
-
-    #[test]
-    fn fips_vectors() {
-        assert_eq!(
-            hex::encode(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            hex::encode(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex::encode(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-    }
-
-    #[test]
-    fn million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex::encode(&sha256(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
-    }
-
-    /// SHA-256 of the whole padded message, block by block.
+    /// SHA-256 of the whole padded message, block by block, through
+    /// [`compress_reference`].
     fn reference_digest(message: &[u8]) -> Vec<u8> {
         let bit_len = (message.len() as u64 * 8).to_be_bytes();
         let padded = reference::pad(message, BLOCK_LEN, &bit_len);
         let mut state = H0;
         for block in padded.as_chunks::<BLOCK_LEN>().0 {
-            Sha256::compress(&mut state, block);
+            compress_reference(&mut state, block);
         }
         state.iter().flat_map(|w| w.to_be_bytes()).collect()
+    }
+
+    #[test]
+    fn compress_matches_the_rolled_reference() {
+        for (state, block) in reference::random_inputs::<8>(0x256, 1_000) {
+            let (mut got, mut want) = (state, state);
+            Sha256::compress(&mut got, &block);
+            compress_reference(&mut want, &block);
+            assert_eq!(got, want, "state={state:08x?}");
+        }
     }
 
     #[test]

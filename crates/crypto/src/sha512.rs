@@ -3,7 +3,7 @@
 //! Listed in the paper's Crypto module inventory (Figure 6); available to
 //! PALs that hash large inputs and want 64-byte digests.
 
-use crate::digest::{BlockBuffer, Digest};
+use crate::digest::{self, BlockBuffer, Digest};
 
 /// Length in bytes of a SHA-512 digest.
 pub const OUTPUT_LEN: usize = 64;
@@ -179,20 +179,21 @@ impl Digest for Sha512 {
             .update(data, |block| Self::compress(&mut self.state, block));
     }
 
-    fn finalize(mut self) -> Vec<u8> {
+    fn finalize_into(mut self, out: &mut [u8]) {
         let bit_len = u128::from(self.buffer.message_len()) * 8;
         self.buffer.finish(bit_len.to_be_bytes(), |block| {
             Self::compress(&mut self.state, block)
         });
-        self.state.iter().flat_map(|w| w.to_be_bytes()).collect()
+        digest::store_words(out, &self.state, u64::to_be_bytes);
     }
 }
 
 /// One-shot SHA-512 returning a fixed-size array.
 pub fn sha512(data: &[u8]) -> [u8; OUTPUT_LEN] {
-    let v = Sha512::digest(data);
+    let mut h = Sha512::default();
+    h.update(data);
     let mut out = [0u8; OUTPUT_LEN];
-    out.copy_from_slice(&v);
+    h.finalize_into(&mut out);
     out
 }
 

@@ -119,7 +119,26 @@ impl KernelImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flicker_crypto::hex;
     use flicker_crypto::sha1::sha1;
+
+    /// The HMAC-DRBG draws every text and module byte, so these pins fail
+    /// on any change to its output stream: the default evaluation kernel
+    /// (`OsConfig::default()`) and the 64 KB kernel of the test platforms.
+    #[test]
+    fn synthetic_bytes_are_pinned() {
+        let eval = KernelImage::synthetic(20_620, 2_000_000).measured_region();
+        assert_eq!(eval.len(), 2_207_397);
+        assert_eq!(
+            hex::encode(&sha1(&eval)),
+            "07c61e949003fed0d1a33c0a6c6f401c883129b2"
+        );
+        let small = KernelImage::synthetic(1, 65_536).measured_region();
+        assert_eq!(
+            hex::encode(&sha1(&small)),
+            "0038a12debff87bf375250eb9339077e85a4ea63"
+        );
+    }
 
     #[test]
     fn synthetic_is_deterministic() {

@@ -253,6 +253,18 @@ mod tests {
         Os::boot(OsConfig::fast_for_tests(seed))
     }
 
+    /// The default TPM's endorsement key comes from a prime search over
+    /// its HMAC-DRBG, so this pin fails on any change to that stream.
+    #[test]
+    fn default_endorsement_key_is_pinned() {
+        let tpm = flicker_tpm::Tpm::manufacture(OsConfig::default().machine.tpm);
+        let ek = flicker_crypto::sha1::sha1(&tpm.ek_public().to_bytes());
+        assert_eq!(
+            flicker_crypto::hex::encode(&ek),
+            "8b8f3810cd9ab0c317181d5439ce95d2bc7bee10"
+        );
+    }
+
     fn privacy_ca(seed: u64) -> PrivacyCa {
         let mut rng = flicker_crypto::rng::XorShiftRng::new(seed);
         PrivacyCa::new(512, &mut rng)
