@@ -13,8 +13,9 @@ use flicker_crypto::md5crypt::md5crypt;
 use flicker_crypto::montgomery::MontgomeryCtx;
 use flicker_crypto::mpint::Mpint;
 use flicker_crypto::pkcs1;
+use flicker_crypto::prime::generate_prime;
 use flicker_crypto::rng::XorShiftRng;
-use flicker_crypto::rsa::RsaPrivateKey;
+use flicker_crypto::rsa::{RsaPrivateKey, MR_ROUNDS};
 use flicker_crypto::sha1::{sha1, Sha1};
 use flicker_crypto::sha256::{sha256, Sha256};
 
@@ -146,6 +147,24 @@ fn bench_mpint(c: &mut Criterion) {
     });
     c.bench_function("mpint/modexp_1024_division", |b| {
         b.iter(|| base.mod_exp_plain(&exp, &m));
+    });
+
+    // One Miller–Rabin round on an RSA-1024 prime candidate: a 511-bit
+    // exponent by a 512-bit modulus, 644 Montgomery products on a context
+    // built once, as the prime search keeps one per candidate.
+    let mut rng = XorShiftRng::new(3);
+    let mut m512 = Mpint::random_bits(&mut rng, 512);
+    m512.set_bit(0);
+    let ctx512 = MontgomeryCtx::new(&m512).unwrap();
+    let base512 = Mpint::random_below(&mut rng, &m512);
+    let exp511 = Mpint::random_bits(&mut rng, 511);
+    c.bench_function("mpint/modexp_512", |b| {
+        b.iter(|| ctx512.mod_exp(&base512, &exp511));
+    });
+    // One RSA-1024 prime: the trial-division sieve plus Miller–Rabin.
+    c.bench_function("prime/generate_512", |b| {
+        let mut rng = XorShiftRng::new(98);
+        b.iter(|| generate_prime(512, MR_ROUNDS, &mut rng));
     });
 
     let a = Mpint::from_hex(&"c".repeat(256)).unwrap();

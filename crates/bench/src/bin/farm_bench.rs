@@ -203,13 +203,15 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Prints `err` and the usage line. The exit code, 2, tells an argument
+/// error apart from a failed gate's 1.
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}");
     eprintln!(
         "usage: farm_bench [--quick] [--machines N] [--requests N] \
          [--trajectory PATH] [--flight-dir DIR]"
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }
 
 fn ms(d: Duration) -> String {

@@ -54,6 +54,8 @@ fn main() -> ExitCode {
     }
 }
 
+/// Prints `err` and the usage line. The exit code, 2, tells an argument
+/// error apart from a failed gate's 1.
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}");
     eprintln!(
@@ -69,7 +71,7 @@ fn usage(err: &str) -> ExitCode {
          \x20 flamegraph    [--quick] [--format folded|chrome] [--out PATH]\n\
          \x20               [--diff PATH]"
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }
 
 fn config(quick: bool) -> BaselineConfig {

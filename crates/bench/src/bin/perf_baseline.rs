@@ -93,10 +93,12 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Prints `err` and the usage line. The exit code, 2, tells an argument
+/// error apart from a failed gate's 1.
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}");
     eprintln!("usage: perf_baseline [--quick] [--out PATH] [--trajectory PATH] [--check PATH]");
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }
 
 /// Validates the committed report at `path` and compares the fresh

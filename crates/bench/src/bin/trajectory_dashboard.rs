@@ -154,13 +154,15 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Prints `err` and the usage line. The exit code, 2, tells an argument
+/// error apart from a failed gate's 1.
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}");
     eprintln!(
         "usage: trajectory_dashboard [--trajectory PATH] [--out-dir DIR] [--include-quick]\n\
          \x20      trajectory_dashboard --check-drift [--trajectory PATH] [--include-quick]"
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }
 
 /// The drift detector: compares each trajectory entry's `profile`

@@ -27,8 +27,9 @@ use std::cell::Cell;
 /// counts, and so on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Primitive {
-    /// One Montgomery multiplication or squaring (`MontgomeryCtx::cios`),
-    /// the inner loop of every modular exponentiation.
+    /// One Montgomery product, the inner loop of every modular
+    /// exponentiation: each call of either kernel in [`crate::montgomery`],
+    /// the multiply or the dedicated square, counts one.
     ///
     /// An exponentiation by an `L`-bit exponent (`L ≥ 1`) with window
     /// width `w` (chosen from `L`: 2 for the 17-bit public exponent, 5 for
@@ -37,6 +38,8 @@ pub enum Primitive {
     /// `2^w − 2` to fill the table, `w` squarings and one multiply for
     /// each window below the top one, and one each for the conversions
     /// into and out of Montgomery form. Building a context costs one more.
+    /// A modulus wider than the widest kernel (64 limbs) exponentiates by
+    /// division and counts none.
     ModMul,
     /// One SHA-1 compression-function invocation (64-byte block).
     Sha1Compress,

@@ -19,8 +19,10 @@
 //!
 //! These implementations favour clarity and auditability over speed, like
 //! the original PAL libraries did, except on the measured host hot paths:
-//! Montgomery exponentiation ([`montgomery`]); the unrolled SHA-1, MD5 and
-//! SHA-256 compression functions; and the HMAC-DRBG ([`drbg`]), which
+//! Montgomery exponentiation ([`montgomery`], a fixed-width multiply and a
+//! dedicated square per limb width); the prime search's allocation-free
+//! trial division ([`prime`]); the unrolled SHA-1, MD5 and SHA-256
+//! compression functions; and the HMAC-DRBG ([`drbg`]), which
 //! draws every simulated platform's kernel image and TPM keys and keys its
 //! allocation-free HMAC once per request. All four hashes share one block
 //! buffer and padding routine ([`digest`]). They are validated against

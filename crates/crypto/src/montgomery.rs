@@ -1,37 +1,76 @@
 //! Montgomery-form modular multiplication and exponentiation.
 //!
 //! RSA-1024/2048 exponentiation with plain multiply-then-divide reduction
-//! spends most of its time in Knuth division. Montgomery's method (CIOS
-//! variant — Koç, Acar, Kaliski, "Analyzing and Comparing Montgomery
-//! Multiplication Algorithms") replaces every reduction with shifts and
-//! adds. [`crate::mpint::Mpint::mod_exp`] switches to this path for odd
-//! moduli (every RSA modulus and prime is odd); the
-//! `mpint/modexp_1024_{montgomery,division}` Criterion benches quantify
-//! the win.
+//! spends most of its time in Knuth division. Montgomery's method replaces
+//! every reduction with shifts and adds. [`crate::mpint::Mpint::mod_exp`]
+//! switches to this path for odd moduli (every RSA modulus and prime is
+//! odd); the `mpint/modexp_1024_{montgomery,division}` Criterion benches
+//! quantify the win.
 //!
-//! A [`MontgomeryCtx`] is built once per modulus and reused: the RSA keys
-//! keep one per prime (and one for the public modulus, built on first
-//! use), and Miller–Rabin keeps one per candidate across all its rounds.
-//! Exponentiation runs a fixed window over the exponent, so the sequence
-//! of multiplications depends only on the exponent's bit length, never on
-//! its bits.
+//! **Widths.** A [`MontgomeryCtx`] pads its modulus to `K` limbs, the next
+//! power of two up to 64 (a 4096-bit modulus), so `R = 2^(64·K)`, and
+//! every kernel is compiled once per width over `[u64; K]`. Padding leaves
+//! every result unchanged, since the padded limbs are zero. A modulus
+//! wider than 64 limbs keeps no Montgomery constants, and
+//! [`MontgomeryCtx::mod_exp`] takes the division path
+//! ([`Mpint::mod_exp_plain`]) for it, as even moduli do.
+//!
+//! **Kernels.** Multiplication is CIOS (Koç, Acar, Kaliski, "Analyzing and
+//! Comparing Montgomery Multiplication Algorithms"): `2K²` limb multiplies.
+//! Squaring forms the full square first, each cross product `a[i]·a[j]`
+//! (`i < j`) once, doubled by one shift, plus the diagonal `a[i]²`, then
+//! runs a separate reduction: `K(K − 1)/2 + K + K²` limb multiplies, 100
+//! against 128 at `K = 8`. Both end in the same branch-free final
+//! subtraction, and each counts one [`crate::cost::Primitive::ModMul`].
+//!
+//! **Constant-time shape.** A context is built once per modulus and
+//! reused: the RSA keys keep one per prime (and one for the public
+//! modulus, built on first use), and Miller–Rabin keeps one per candidate
+//! across all its rounds. Exponentiation runs a fixed window over the
+//! exponent and fetches every table entry with a masked scan of the whole
+//! table, so the sequence of products and the memory accesses depend only
+//! on the exponent's bit length, never on its bits; no kernel branches or
+//! indexes on a limb's value.
 
+use crate::cost::{self, Primitive};
 use crate::mpint::Mpint;
+
+/// The widest kernel, in 64-bit limbs (a 4096-bit modulus).
+const MAX_LIMBS: usize = 64;
+
+/// Evaluates `$body` with the constant `$K` bound to `$width` when that is
+/// a kernel width (a power of two up to [`MAX_LIMBS`]), else `$wide`.
+macro_rules! with_width {
+    ($width:expr, $K:ident => $body:expr, _ => $wide:expr) => {
+        with_width!([1, 2, 4, 8, 16, 32, MAX_LIMBS] $width, $K => $body, _ => $wide)
+    };
+    ([$($k:tt),*] $width:expr, $K:ident => $body:expr, _ => $wide:expr) => {
+        match $width {
+            $($k => {
+                const $K: usize = $k;
+                $body
+            })*
+            _ => $wide,
+        }
+    };
+}
 
 /// Precomputed context for arithmetic modulo an odd `n`.
 ///
 /// Deliberately not `Debug`: a context for an RSA prime holds the prime.
 #[derive(Clone)]
 pub struct MontgomeryCtx {
-    /// The modulus (odd, > 1); its limbs are the `k` limbs every
-    /// Montgomery-form value is padded to.
+    /// The modulus (odd, > 1).
     modulus: Mpint,
+    /// The modulus's limbs zero-padded to the kernel width `K`; empty when
+    /// the modulus is wider than [`MAX_LIMBS`].
+    n: Vec<u64>,
     /// `-n⁻¹ mod 2⁶⁴`.
     n_prime: u64,
-    /// `R² mod n` where `R = 2^(64·k)`, for conversion into Montgomery
-    /// form.
+    /// `R² mod n` where `R = 2^(64·K)`, for conversion into Montgomery
+    /// form (`K` limbs).
     r2: Vec<u64>,
-    /// `R mod n`: the number 1 in Montgomery form.
+    /// `R mod n`: the number 1 in Montgomery form (`K` limbs).
     one: Vec<u64>,
 }
 
@@ -72,12 +111,11 @@ fn window_value(e: &[u64], lo: usize, w: usize) -> usize {
     (v & ((1 << w) - 1)) as usize
 }
 
-/// Copies table entry `idx` (of `k` limbs each) into `out` by reading every
-/// entry and keeping one through a mask, so the memory access pattern does
-/// not depend on `idx`.
-fn select_entry(table: &[u64], idx: usize, out: &mut [u64]) {
-    out.fill(0);
-    for (i, entry) in table.chunks_exact(out.len()).enumerate() {
+/// Returns table entry `idx` by reading every entry and keeping one
+/// through a mask, so the memory access pattern does not depend on `idx`.
+fn select_entry<const K: usize>(table: &[[u64; K]], idx: usize) -> [u64; K] {
+    let mut out = [0u64; K];
+    for (i, entry) in table.iter().enumerate() {
         let diff = (i ^ idx) as u64;
         // All ones iff diff == 0: (diff | -diff) has its top bit set
         // exactly when diff != 0.
@@ -86,37 +124,154 @@ fn select_entry(table: &[u64], idx: usize, out: &mut [u64]) {
             *o |= v & mask;
         }
     }
+    out
 }
 
-/// Copies `v` into `dst`, zero-padding the high limbs.
-fn load(dst: &mut [u64], v: &Mpint) {
-    let limbs = v.limbs();
-    dst[..limbs.len()].copy_from_slice(limbs);
-    dst[limbs.len()..].fill(0);
+/// `v` zero-padded to `K` limbs (`v` has at most `K`).
+fn load<const K: usize>(v: &Mpint) -> [u64; K] {
+    let mut out = [0u64; K];
+    out[..v.limbs().len()].copy_from_slice(v.limbs());
+    out
+}
+
+/// The number 1 in `K` limbs.
+fn unit<const K: usize>() -> [u64; K] {
+    let mut out = [0u64; K];
+    out[0] = 1;
+    out
+}
+
+/// A context vector as a `K`-limb array.
+fn fixed<const K: usize>(v: &[u64]) -> &[u64; K] {
+    v.try_into().expect("context vectors have the kernel width")
+}
+
+/// The final subtraction both kernels end in. The Montgomery result `t`
+/// (with `top` as its limb `K`) is below `2n`; this always computes
+/// `t − n`, then keeps it or `t` by a mask taken from the borrow, so it
+/// does not branch on the value.
+fn final_sub<const K: usize>(t: &[u64; K], top: u64, n: &[u64; K]) -> [u64; K] {
+    let mut out = [0u64; K];
+    let mut borrow = 0u64;
+    for ((o, &ti), &ni) in out.iter_mut().zip(t).zip(n) {
+        let (d1, b1) = ti.overflowing_sub(ni);
+        let (d2, b2) = d1.overflowing_sub(borrow);
+        *o = d2;
+        borrow = (b1 | b2) as u64;
+    }
+    // t < n exactly when the borrow runs through the top limb.
+    let mask = ((top < borrow) as u64).wrapping_neg();
+    for (o, &ti) in out.iter_mut().zip(t) {
+        *o = (ti & mask) | (*o & !mask);
+    }
+    out
+}
+
+/// CIOS Montgomery product `a·b·R⁻¹ mod n` of `K`-limb values `a, b < n`.
+///
+/// Each outer step adds `a[i]·b` and `m·n` in one pass (two carry
+/// chains), where `m` makes the low limb vanish, and shifts down a limb.
+fn mont_mul<const K: usize>(a: &[u64; K], b: &[u64; K], n: &[u64; K], n_prime: u64) -> [u64; K] {
+    cost::count(Primitive::ModMul);
+    let mut t = [0u64; K];
+    let mut top = 0u64;
+    for &ai in a {
+        let s = t[0] as u128 + ai as u128 * b[0] as u128;
+        let m = (s as u64).wrapping_mul(n_prime);
+        let r = (s as u64) as u128 + m as u128 * n[0] as u128;
+        let (mut c_ab, mut c_mn) = (s >> 64, r >> 64);
+        for j in 1..K {
+            let s = t[j] as u128 + ai as u128 * b[j] as u128 + c_ab;
+            let r = (s as u64) as u128 + m as u128 * n[j] as u128 + c_mn;
+            t[j - 1] = r as u64;
+            (c_ab, c_mn) = (s >> 64, r >> 64);
+        }
+        let s = top as u128 + c_ab + c_mn;
+        t[K - 1] = s as u64;
+        top = (s >> 64) as u64;
+    }
+    final_sub(&t, top, n)
+}
+
+/// Montgomery square `a²·R⁻¹ mod n` of a `K`-limb value `a < n`.
+///
+/// Forms the `2K`-limb square (cross products once, doubled, plus the
+/// diagonal), then reduces it one limb at a time: each step adds the `m·n`
+/// that clears the lowest remaining limb, so the top `K` limbs and a carry
+/// are left holding `a²·R⁻¹ < 2n`.
+fn mont_sqr<const K: usize>(a: &[u64; K], n: &[u64; K], n_prime: u64) -> [u64; K] {
+    cost::count(Primitive::ModMul);
+    let mut wide = [[0u64; K]; 2];
+    let t = wide.as_flattened_mut();
+    // Cross products a[i]·a[j], i < j; row i ends in the untouched t[i + K].
+    for i in 0..K {
+        let mut c = 0u64;
+        for j in i + 1..K {
+            let s = t[i + j] as u128 + a[i] as u128 * a[j] as u128 + c as u128;
+            t[i + j] = s as u64;
+            c = (s >> 64) as u64;
+        }
+        t[i + K] = c;
+    }
+    // Double them and add the diagonal; a² < 2^(128·K) leaves no carry.
+    let (mut shifted, mut c) = (0u64, 0u64);
+    for (i, &ai) in a.iter().enumerate() {
+        let sq = ai as u128 * ai as u128;
+        for (limb, half) in [(2 * i, sq as u64), (2 * i + 1, (sq >> 64) as u64)] {
+            let v = t[limb];
+            let s = ((v << 1) | shifted) as u128 + half as u128 + c as u128;
+            shifted = v >> 63;
+            t[limb] = s as u64;
+            c = (s >> 64) as u64;
+        }
+    }
+    // Reduce: row i clears limb i and carries into limb i + K + 1.
+    let mut top = 0u64;
+    for i in 0..K {
+        let m = t[i].wrapping_mul(n_prime);
+        let mut c = 0u64;
+        for (j, &nj) in n.iter().enumerate() {
+            let s = t[i + j] as u128 + m as u128 * nj as u128 + c as u128;
+            t[i + j] = s as u64;
+            c = (s >> 64) as u64;
+        }
+        let s = t[i + K] as u128 + c as u128 + top as u128;
+        t[i + K] = s as u64;
+        top = (s >> 64) as u64;
+    }
+    final_sub(&wide[1], top, n)
 }
 
 impl MontgomeryCtx {
     /// Builds a context for odd `modulus > 1`; `None` for even or trivial
-    /// moduli.
+    /// moduli. Costs one Montgomery product (none for a modulus wider than
+    /// the widest kernel).
     pub fn new(modulus: &Mpint) -> Option<MontgomeryCtx> {
         if modulus.is_even() || modulus.is_one() || modulus.is_zero() {
             return None;
         }
-        let k = modulus.limbs().len();
-        let mut r2 = vec![0u64; k];
-        load(&mut r2, &Mpint::one().shl(128 * k).rem(modulus));
         let mut ctx = MontgomeryCtx {
             modulus: modulus.clone(),
+            n: Vec::new(),
             n_prime: neg_inv_u64(modulus.limbs()[0]),
-            r2,
-            one: vec![0u64; k],
+            r2: Vec::new(),
+            one: Vec::new(),
         };
-        // R mod n = montmul(R², 1).
-        let mut one = vec![0u64; k];
-        one[0] = 1;
-        ctx.mont_mul(&mut one, &ctx.r2, &mut vec![0u64; k + 1]);
-        ctx.one = one;
+        with_width!(
+            modulus.limbs().len().next_power_of_two(),
+            K => ctx.set_constants::<K>(),
+            _ => ()
+        );
         Some(ctx)
+    }
+
+    /// Fills the `K`-limb constants: `R²` from one shift and division, and
+    /// `R mod n = montmul(R², 1)`.
+    fn set_constants<const K: usize>(&mut self) {
+        let n = load::<K>(&self.modulus);
+        let r2 = load::<K>(&Mpint::one().shl(128 * K).rem(&self.modulus));
+        let one = mont_mul(&r2, &unit(), &n, self.n_prime);
+        (self.n, self.r2, self.one) = (n.to_vec(), r2.to_vec(), one.to_vec());
     }
 
     /// The modulus this context reduces by.
@@ -124,21 +279,79 @@ impl MontgomeryCtx {
         &self.modulus
     }
 
-    /// CIOS Montgomery product of `k`-limb inputs `a, b < n`: leaves
-    /// `a·b·R⁻¹` (`< 2n`, so at most `k + 1` significant limbs) in
-    /// `t[..=k]`. `t` is caller-owned scratch of `k + 1` limbs.
+    /// Modular exponentiation `base^exp mod n`: a fixed window of
+    /// `w = window_bits(exp.bit_len())` bits over Montgomery products.
     ///
-    /// Each outer step adds `a[i]·b` and `m·n` in one pass (two carry
-    /// chains), where `m` makes the low limb vanish, and shifts down a limb.
-    fn cios(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
-        crate::cost::count(crate::cost::Primitive::ModMul);
-        let n = self.modulus.limbs();
+    /// The table holds `base⁰ … base^(2^w − 1)` in Montgomery form. The
+    /// top window loads its entry; every further window does `w`
+    /// squarings and one multiplication by the entry for its bits (zero
+    /// windows multiply by 1), and every entry is fetched with a masked
+    /// scan of the whole table. The work is therefore fixed by the
+    /// exponent's bit length `L`: with `W = ⌈L/w⌉` windows it is
+    /// `2^w + (W − 1)·(w + 1)` Montgomery products (two of them convert
+    /// into and out of Montgomery form), whatever the exponent's bits.
+    pub fn mod_exp(&self, base: &Mpint, exp: &Mpint) -> Mpint {
+        self.mod_exp_window(base, exp, window_bits(exp.bit_len()))
+    }
+
+    /// [`Self::mod_exp`] with an explicit window width `w` (1..=6).
+    pub(crate) fn mod_exp_window(&self, base: &Mpint, exp: &Mpint, w: usize) -> Mpint {
+        with_width!(
+            self.n.len(),
+            K => self.mod_exp_fixed::<K>(base, exp, w),
+            _ => base.mod_exp_plain(exp, &self.modulus)
+        )
+    }
+
+    /// The exponentiation loop at kernel width `K`.
+    fn mod_exp_fixed<const K: usize>(&self, base: &Mpint, exp: &Mpint, w: usize) -> Mpint {
+        let bits = exp.bit_len();
+        if bits == 0 {
+            return Mpint::one();
+        }
+        let (n, np) = (fixed::<K>(&self.n), self.n_prime);
+        let mut table = vec![*fixed::<K>(&self.one); 1 << w];
+        // Into Montgomery form: base·R = montmul(base, R²).
+        table[1] = mont_mul(&load(&base.rem(&self.modulus)), fixed(&self.r2), n, np);
+        for i in 2..(1 << w) {
+            table[i] = mont_mul(&table[i - 1], &table[1], n, np);
+        }
+
+        let e = exp.limbs();
+        let windows = bits.div_ceil(w);
+        let mut acc = select_entry(&table, window_value(e, (windows - 1) * w, w));
+        for win in (0..windows - 1).rev() {
+            for _ in 0..w {
+                acc = mont_sqr(&acc, n, np);
+            }
+            let entry = select_entry(&table, window_value(e, win * w, w));
+            acc = mont_mul(&acc, &entry, n, np);
+        }
+        // Out of Montgomery form: montmul(acc, 1).
+        Mpint::from_limbs_le(mont_mul(&acc, &unit(), n, np).to_vec())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::XorShiftRng;
+    use proptest::prelude::*;
+
+    fn mp(v: u128) -> Mpint {
+        Mpint::from_bytes_be(&v.to_be_bytes())
+    }
+
+    /// The slice CIOS the fixed-width kernels replaced, kept as their
+    /// oracle: leaves `a·b·R⁻¹` (`< 2n`) in the `k + 1` limbs of `t`, where
+    /// `k = n.len()` is read at run time and `R = 2^(64·k)`.
+    fn cios(a: &[u64], b: &[u64], n: &[u64], n_prime: u64, t: &mut [u64]) {
         let k = n.len();
         let (a, b, t) = (&a[..k], &b[..k], &mut t[..k + 1]);
         t.fill(0);
         for &ai in a {
             let s = t[0] as u128 + ai as u128 * b[0] as u128;
-            let m = (s as u64).wrapping_mul(self.n_prime);
+            let m = (s as u64).wrapping_mul(n_prime);
             let r = (s as u64) as u128 + m as u128 * n[0] as u128;
             let (mut c_ab, mut c_mn) = (s >> 64, r >> 64);
             for j in 1..k {
@@ -153,11 +366,8 @@ impl MontgomeryCtx {
         }
     }
 
-    /// Final reduction of a CIOS result `t < 2n` into `out`, without a
-    /// branch on the value: always computes `t − n`, then keeps it or `t`
-    /// by a mask taken from the borrow.
-    fn reduce_into(&self, t: &[u64], out: &mut [u64]) {
-        let n = self.modulus.limbs();
+    /// The slice kernel's final reduction of a CIOS result `t < 2n`.
+    fn reduce_into(t: &[u64], n: &[u64], out: &mut [u64]) {
         let k = n.len();
         let mut borrow = 0u64;
         for ((o, &ti), &ni) in out.iter_mut().zip(&t[..k]).zip(n) {
@@ -166,90 +376,83 @@ impl MontgomeryCtx {
             *o = d2;
             borrow = (b1 | b2) as u64;
         }
-        // t < n exactly when the borrow runs through the top limb t[k].
-        let keep_t = (t[k] < borrow) as u64;
-        let mask = keep_t.wrapping_neg();
+        let mask = ((t[k] < borrow) as u64).wrapping_neg();
         for (o, &ti) in out.iter_mut().zip(&t[..k]) {
             *o = (ti & mask) | (*o & !mask);
         }
     }
 
-    /// `a ← a·b·R⁻¹ mod n` for `k`-limb Montgomery-form values; `t` is
-    /// scratch of `k + 1` limbs, so no multiply allocates.
-    fn mont_mul(&self, a: &mut [u64], b: &[u64], t: &mut [u64]) {
-        self.cios(a, b, t);
-        self.reduce_into(t, a);
+    /// The slice kernel's reduced product, for the oracle tests.
+    fn slice_mont_mul(a: &[u64], b: &[u64], n: &[u64], n_prime: u64) -> Vec<u64> {
+        let mut t = vec![0u64; n.len() + 1];
+        cios(a, b, n, n_prime, &mut t);
+        let mut out = vec![0u64; n.len()];
+        reduce_into(&t, n, &mut out);
+        out
     }
 
-    /// `a ← a²·R⁻¹ mod n` (one counted Montgomery multiplication).
-    fn mont_sqr(&self, a: &mut [u64], t: &mut [u64]) {
-        self.cios(a, a, t);
-        self.reduce_into(t, a);
-    }
-
-    /// Modular exponentiation `base^exp mod n`: a fixed window of
-    /// `w = window_bits(exp.bit_len())` bits over Montgomery products.
-    ///
-    /// The table holds `base⁰ … base^(2^w − 1)` in Montgomery form. The
-    /// top window loads its entry; every further window does `w`
-    /// squarings and one multiplication by the entry for its bits (zero
-    /// windows multiply by 1), and every entry is fetched with a masked
-    /// scan of the whole table. The work is therefore fixed by the
-    /// exponent's bit length `L`: with `W = ⌈L/w⌉` windows it is
-    /// `2^w + (W − 1)·(w + 1)` Montgomery multiplications (two of them
-    /// convert into and out of Montgomery form), whatever the exponent's
-    /// bits.
-    pub fn mod_exp(&self, base: &Mpint, exp: &Mpint) -> Mpint {
-        self.mod_exp_window(base, exp, window_bits(exp.bit_len()))
-    }
-
-    /// [`Self::mod_exp`] with an explicit window width `w` (1..=6).
-    pub(crate) fn mod_exp_window(&self, base: &Mpint, exp: &Mpint, w: usize) -> Mpint {
-        let bits = exp.bit_len();
-        if bits == 0 {
-            return Mpint::one();
-        }
-        let k = self.one.len();
-        let mut t = vec![0u64; k + 1];
-        let mut table = vec![0u64; k << w];
-        table[..k].copy_from_slice(&self.one);
-        // Into Montgomery form: base·R = montmul(base, R²).
-        load(&mut table[k..2 * k], &base.rem(&self.modulus));
-        self.mont_mul(&mut table[k..2 * k], &self.r2, &mut t);
-        for i in 2..(1 << w) {
-            let (done, rest) = table.split_at_mut(i * k);
-            let entry = &mut rest[..k];
-            entry.copy_from_slice(&done[(i - 1) * k..]);
-            self.mont_mul(entry, &done[k..2 * k], &mut t);
-        }
-
-        let e = exp.limbs();
-        let windows = bits.div_ceil(w);
-        let mut acc = vec![0u64; k];
-        let mut entry = vec![0u64; k];
-        select_entry(&table, window_value(e, (windows - 1) * w, w), &mut acc);
-        for win in (0..windows - 1).rev() {
-            for _ in 0..w {
-                self.mont_sqr(&mut acc, &mut t);
+    /// Checks both width-`K` kernels on `modulus` against the slice oracle
+    /// and against `x·R ≡ a·b (mod n)`, for random operands below `n` and
+    /// for 0, 1 and `n − 1`.
+    fn check_kernels<const K: usize>(modulus: &Mpint, rng: &mut XorShiftRng) {
+        let ctx = MontgomeryCtx::new(modulus).unwrap();
+        let (n, np) = (fixed::<K>(&ctx.n), ctx.n_prime);
+        let r = Mpint::one().shl(64 * K);
+        let mut operands = vec![Mpint::zero(), Mpint::one(), modulus.sub(&Mpint::one())];
+        operands.extend((0..3).map(|_| Mpint::random_below(rng, modulus)));
+        let what = |a: &Mpint, b: &Mpint| format!("K = {K}, n = {modulus:?}, {a:?} · {b:?}");
+        for a in &operands {
+            let al = load::<K>(a);
+            for b in &operands {
+                let bl = load::<K>(b);
+                let got = mont_mul(&al, &bl, n, np);
+                assert_eq!(got[..], slice_mont_mul(&al, &bl, n, np), "{}", what(a, b));
+                let got = Mpint::from_limbs_le(got.to_vec());
+                assert!(&got < modulus, "{}", what(a, b));
+                let want = a.mul_mod(b, modulus);
+                assert_eq!(got.mul(&r).rem(modulus), want, "{}", what(a, b));
             }
-            select_entry(&table, window_value(e, win * w, w), &mut entry);
-            self.mont_mul(&mut acc, &entry, &mut t);
+            let sq = mont_sqr(&al, n, np);
+            assert_eq!(sq[..], slice_mont_mul(&al, &al, n, np), "{}", what(a, a));
         }
-        // Out of Montgomery form: montmul(acc, 1).
-        load(&mut entry, &Mpint::one());
-        self.mont_mul(&mut acc, &entry, &mut t);
-        Mpint::from_limbs_le(acc)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::rng::XorShiftRng;
-    use proptest::prelude::*;
+    #[test]
+    fn kernels_match_the_slice_oracle() {
+        let mut rng = XorShiftRng::new(82);
+        for limbs in (1..=9).chain(15..=17).chain(31..=33).chain([MAX_LIMBS]) {
+            let all_ones = Mpint::one().shl(64 * limbs).sub(&Mpint::one());
+            let random = odd_modulus(&mut rng, 64 * limbs);
+            let mut moduli = vec![all_ones, random];
+            if limbs > 1 {
+                // Top limb 1: the smallest modulus of its length, so the
+                // most padding relative to R.
+                let mut top_one = Mpint::one().shl(64 * (limbs - 1));
+                top_one = top_one.add(&Mpint::random_bits(&mut rng, 64));
+                top_one.set_bit(0);
+                moduli.push(top_one);
+            }
+            for m in &moduli {
+                assert_eq!(m.limbs().len(), limbs);
+                with_width!(
+                    limbs.next_power_of_two(),
+                    K => check_kernels::<K>(m, &mut rng),
+                    _ => unreachable!("{limbs} limbs have a kernel")
+                );
+            }
+        }
+    }
 
-    fn mp(v: u128) -> Mpint {
-        Mpint::from_bytes_be(&v.to_be_bytes())
+    #[test]
+    fn wider_than_the_widest_kernel_takes_the_division_path() {
+        let mut rng = XorShiftRng::new(83);
+        let m = odd_modulus(&mut rng, 64 * MAX_LIMBS + 1);
+        let ctx = MontgomeryCtx::new(&m).expect("odd moduli of any width get a context");
+        let base = Mpint::random_below(&mut rng, &m);
+        let exp = exponent(&mut rng, 40);
+        assert_eq!(modmuls(&ctx, &base, &exp), 0);
+        assert_eq!(ctx.mod_exp(&base, &exp), base.mod_exp_plain(&exp, &m));
+        assert_eq!(base.mod_exp(&exp, &m), base.mod_exp_plain(&exp, &m));
     }
 
     #[test]
@@ -367,10 +570,8 @@ mod tests {
 
     #[test]
     fn final_subtraction_selects_reduced_value() {
-        // n = 2^64 - 59 (one limb). CIOS results t < 2n land on both sides
+        // n = 2^64 - 59 (one limb). Kernel results t < 2n land on both sides
         // of n and above R = 2^64 (t[1] = 1).
-        let n = mp(0xFFFF_FFFF_FFFF_FFC5);
-        let ctx = MontgomeryCtx::new(&n).unwrap();
         let nv = 0xFFFF_FFFF_FFFF_FFC5u64;
         for (t, want) in [
             ([5u64, 0], 5u64),
@@ -379,9 +580,7 @@ mod tests {
             ([u64::MAX, 0], u64::MAX - nv),
             ([3, 1], 3 + 59),
         ] {
-            let mut out = [0u64; 1];
-            ctx.reduce_into(&t, &mut out);
-            assert_eq!(out[0], want, "t = {t:?}");
+            assert_eq!(final_sub(&[t[0]], t[1], &[nv]), [want], "t = {t:?}");
         }
     }
 

@@ -414,8 +414,9 @@ impl Mpint {
     /// Returns `self^exponent mod modulus`.
     ///
     /// Odd moduli (every RSA modulus and prime) dispatch to Montgomery
-    /// multiplication ([`crate::montgomery`]); even moduli fall back to
-    /// the division-based [`Mpint::mod_exp_plain`]. This builds a fresh
+    /// multiplication ([`crate::montgomery`]); even moduli, and odd ones
+    /// wider than its widest kernel (4096 bits), fall back to the
+    /// division-based [`Mpint::mod_exp_plain`]. This builds a fresh
     /// [`crate::montgomery::MontgomeryCtx`] per call: callers that
     /// exponentiate repeatedly by one modulus keep a context instead.
     ///

@@ -6,6 +6,13 @@
 //! tried before a prime is found). This module reports how many candidates
 //! and Miller–Rabin rounds were consumed so the simulator's cost model can
 //! reproduce exactly that distribution.
+//!
+//! A candidate first meets trial division by the 60 primes up to 281,
+//! which computes each remainder from the candidate's limbs without
+//! allocating; about four in five odd candidates stop there. The survivors
+//! run Miller–Rabin over one [`MontgomeryCtx`] for all their rounds, and
+//! each round is one fixed-window exponentiation (644 Montgomery products
+//! for a 512-bit candidate, the RSA-1024 prime size).
 
 use crate::montgomery::MontgomeryCtx;
 use crate::mpint::Mpint;
@@ -43,14 +50,8 @@ fn is_probable_prime_counted<R: CryptoRng + ?Sized>(
     if n.is_zero() || n.is_one() {
         return false;
     }
-    for &p in &SMALL_PRIMES {
-        let pm = Mpint::from(p);
-        if n == &pm {
-            return true;
-        }
-        if n.rem(&pm).is_zero() {
-            return false;
-        }
+    if let Some(verdict) = trial_division(n) {
+        return verdict;
     }
 
     // Write n - 1 = d * 2^s with d odd.
@@ -83,6 +84,30 @@ fn is_probable_prime_counted<R: CryptoRng + ?Sized>(
         return false;
     }
     true
+}
+
+/// Trial division by [`SMALL_PRIMES`] in order: `Some(true)` when `n` is
+/// one of them, `Some(false)` when one divides `n`, `None` when none does.
+fn trial_division(n: &Mpint) -> Option<bool> {
+    let limbs = n.limbs();
+    for &p in &SMALL_PRIMES {
+        if limbs == [p] {
+            return Some(true);
+        }
+        if rem_small(limbs, p) == 0 {
+            return Some(false);
+        }
+    }
+    None
+}
+
+/// `n mod p` for the little-endian `limbs` of `n` and `p > 0`: one
+/// remainder of a 128-bit value by `p` per limb, from the top limb down.
+fn rem_small(limbs: &[u64], p: u64) -> u64 {
+    let p = u128::from(p);
+    limbs.iter().rev().fold(0, |r, &l| {
+        (((u128::from(r) << 64) | u128::from(l)) % p) as u64
+    })
 }
 
 /// Generates a random probable prime of exactly `bits` bits.
@@ -120,6 +145,48 @@ mod tests {
 
     fn mp(v: u64) -> Mpint {
         Mpint::from(v)
+    }
+
+    /// The trial division the sieve replaced: an `Mpint` per prime and a
+    /// limb division per remainder.
+    fn trial_division_by_mpint(n: &Mpint) -> Option<bool> {
+        for &p in &SMALL_PRIMES {
+            let pm = Mpint::from(p);
+            if n == &pm {
+                return Some(true);
+            }
+            if n.rem(&pm).is_zero() {
+                return Some(false);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn sieve_agrees_with_mpint_division() {
+        let mut rng = XorShiftRng::new(7);
+        let mut cases = vec![mp(0), mp(1), mp(283 * 283)];
+        for &p in &SMALL_PRIMES {
+            cases.push(mp(p));
+            cases.extend(SMALL_PRIMES.iter().map(|&q| mp(p * q)));
+        }
+        for limbs in 1..=9 {
+            for i in 0..40 {
+                let mut n = Mpint::random_bits(&mut rng, 64 * limbs);
+                n.set_bit(0);
+                // Also n times a small prime, cycling through all of them,
+                // so every prime divides some multi-limb case.
+                let p = SMALL_PRIMES[(40 * limbs + i) % SMALL_PRIMES.len()];
+                cases.push(n.mul(&mp(p)));
+                cases.push(n);
+            }
+        }
+        for n in &cases {
+            assert_eq!(trial_division(n), trial_division_by_mpint(n), "{n:?}");
+        }
+        // 283² has no factor up to 281: the sieve passes it to Miller–Rabin.
+        assert_eq!(trial_division(&mp(283 * 283)), None);
+        assert!(!is_probable_prime(&mp(283 * 283), 20, &mut rng));
     }
 
     #[test]

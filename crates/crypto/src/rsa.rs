@@ -518,6 +518,24 @@ mod tests {
     }
 
     #[test]
+    fn primes_wider_than_the_widest_kernel_take_the_division_path() {
+        // p = 2^4161 − 1 has 66 limbs, past the 64-limb Montgomery kernel;
+        // q = 3 does not divide it. The blob must parse, and both
+        // operations must give the textbook results.
+        let p = Mpint::one().shl(4161).sub(&Mpint::one());
+        let q = Mpint::from(3u64);
+        let (n, e, d) = (p.mul(&q), Mpint::from(PUBLIC_EXPONENT), Mpint::from(5u64));
+        let key = RsaPrivateKey::from_bytes(&blob(&n, &e, &d, &p, &q)).expect("wide key parses");
+        let c = Mpint::from_hex("0123456789abcdef0123456789abcdef").unwrap();
+        // CRT: c^5 mod p, and c^(5 mod 2) = c ≡ c^5 (mod 3).
+        assert_eq!(key.raw_decrypt(&c).unwrap(), c.mod_exp_plain(&d, &n));
+        assert_eq!(
+            key.public_key().raw_encrypt(&c).unwrap(),
+            c.mod_exp_plain(&e, &n)
+        );
+    }
+
+    #[test]
     fn keygen_stats_populated() {
         let mut rng = XorShiftRng::new(17);
         let (_, stats) = RsaPrivateKey::generate(256, &mut rng);

@@ -13,6 +13,10 @@ cargo test --workspace -q
 # The bignum kernel again in release: debug_assert! compiled out and
 # integer arithmetic wrapping instead of trapping.
 cargo test --release -p flicker-crypto -q
+# Every Criterion bench body once, in release: `cargo test --workspace`
+# skips bench targets, and without `--bench` the in-repo shim runs each
+# body a single time, so a bench that panics fails here.
+cargo test --release -q -p flicker-bench --benches
 # The host-clock benchmark is a package of its own that builds the
 # workspace crates as path dependencies: build it and run its tests, so a
 # workspace API change that breaks it fails here.
