@@ -5,9 +5,10 @@
 //! link), so a single run yields:
 //!
 //! * **per-phase** latency percentiles over every Flicker session (the six
-//!   Figure-2 phase spans `run_session` opens),
+//!   Figure-2 phase spans the recorder folds from `run_session`'s phase
+//!   events),
 //! * **per-TPM-ordinal** command latency percentiles (`tpm.TPM_*`
-//!   histograms recorded by the TPM driver),
+//!   histograms folded from the TPM's `tpm_command` events),
 //! * **per-application** end-to-end iteration latency, and
 //! * every counter the tracer collected (retries, DEV ops, zeroized bytes),
 //!   and
@@ -363,7 +364,7 @@ fn report(
     trace: &Trace,
     samples: &BTreeMap<&'static str, Vec<Duration>>,
 ) -> Value {
-    let sessions = trace.spans_named("phase.suspend").len() as u64;
+    let sessions = trace.spans_named(flicker_trace::phases::SUSPEND).len() as u64;
 
     let mut phases = BTreeMap::new();
     for name in PHASE_SPAN_NAMES {
@@ -385,9 +386,9 @@ fn report(
         if name.starts_with("app.") {
             // Covered exactly by the raw samples above.
         } else if name.starts_with("tpm.TPM_") {
-            tpm.insert(name.to_string(), hist_value(&h));
+            tpm.insert(name, hist_value(&h));
         } else {
-            ops.insert(name.to_string(), hist_value(&h));
+            ops.insert(name, hist_value(&h));
         }
     }
 
@@ -654,6 +655,47 @@ mod tests {
             m.remove("total_ms");
         });
         assert!(validate(&bad).unwrap_err().contains("total_ms"));
+    }
+
+    #[test]
+    fn folded_views_survive_eviction() {
+        // The same flight through the default ring and through one too
+        // small to hold it. The recorder folds spans, `tpm.*` histograms
+        // and the event-mirroring counters at record time, so the small
+        // ring's drops must not show in any of them.
+        let views = |capacity: Option<usize>| {
+            let trace = Trace::new();
+            if let Some(c) = capacity {
+                trace.set_event_capacity(c);
+            }
+            run_storage(&trace, 1);
+            let tpm: Vec<_> = trace
+                .histograms()
+                .into_iter()
+                .filter(|(name, _)| name.starts_with("tpm."))
+                .map(|(name, h)| (name, h.count(), h.sum(), h.min(), h.max()))
+                .collect();
+            let counters: Vec<u64> = [
+                "dev.protect",
+                "dev.release",
+                "mem.zeroize_bytes",
+                "os.suspend",
+                "os.resume",
+            ]
+            .iter()
+            .map(|c| trace.counter(c))
+            .collect();
+            (trace.dropped_events(), trace.spans(), tpm, counters)
+        };
+        let (dropped, spans, tpm, counters) = views(None);
+        let (small_dropped, small_spans, small_tpm, small_counters) = views(Some(8));
+        assert_eq!(dropped, 0);
+        assert!(small_dropped > 0);
+        assert!(spans.iter().all(|s| s.duration.is_some()) && !tpm.is_empty());
+        assert!(counters.iter().all(|&c| c > 0), "{counters:?}");
+        assert_eq!(small_spans, spans);
+        assert_eq!(small_tpm, tpm);
+        assert_eq!(small_counters, counters);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use flicker_bench::farmattr::{self, FarmFlight};
 use flicker_bench::{json, render_table};
 use flicker_farm::{Farm, FarmConfig, RequestSpec};
 use flicker_trace::profile as trace_profile;
-use flicker_trace::{audit, export, DurationHistogram, Trace, DROPPED_EVENTS_COUNTER};
+use flicker_trace::{audit, export, phases, DurationHistogram, Trace, DROPPED_EVENTS_COUNTER};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
@@ -198,7 +198,7 @@ fn cmd_summary(args: &[String]) -> ExitCode {
         .collect();
     let table = render_table("Flight-recorder events by kind", &["kind", "count"], &rows);
     print!("{table}");
-    let sessions = trace.spans_named("phase.suspend").len();
+    let sessions = trace.spans_named(phases::SUSPEND).len();
     println!("\nsessions:       {sessions}");
     println!("events kept:    {}", events.len());
     println!(
@@ -431,7 +431,7 @@ fn cmd_critical_path(args: &[String]) -> ExitCode {
     print!("{table}");
 
     // The TPM ordinals behind those phases, by total simulated time.
-    let mut ordinals: Vec<(&'static str, DurationHistogram)> = trace
+    let mut ordinals: Vec<(String, DurationHistogram)> = trace
         .histograms()
         .into_iter()
         .filter(|(name, _)| name.starts_with("tpm.TPM_"))

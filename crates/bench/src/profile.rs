@@ -103,7 +103,7 @@ fn fold_primitive_frames(shares: &BTreeMap<String, f64>) -> BTreeMap<String, f64
 }
 
 /// The one share-drift rule between an earlier and a later run's stack
-/// shares. After [`fold_primitive_frames`] on both sides:
+/// shares. After `fold_primitive_frames` on both sides:
 ///
 /// * every stack holding at least [`SHARE_FLOOR`] of `before` must stay
 ///   within [`MAX_SHARE_DRIFT`] of that share, a stack missing from

@@ -24,7 +24,7 @@ use crate::slb::{
 use flicker_machine::{SimClock, Stopwatch};
 use flicker_os::Os;
 use flicker_palvm::NUM_REGS;
-use flicker_trace::{EventKind, OpEvent, SpanId, Trace};
+use flicker_trace::{phases, EventKind, OpEvent, Trace};
 use std::time::Duration;
 
 /// Default physical address where the flicker-module allocates SLBs (fixed
@@ -142,16 +142,16 @@ impl SessionRecord {
 /// `phase.verify` only appears for bytecode payloads (there is nothing to
 /// statically verify about a native PAL's identity manifest).
 pub const PHASE_SPAN_NAMES: [&str; 6] = [
-    "phase.suspend",
-    "phase.skinit",
-    "phase.stub_measure",
-    "phase.pal",
-    "phase.cleanup",
-    "phase.resume",
+    phases::SUSPEND,
+    phases::SKINIT,
+    phases::STUB_MEASURE,
+    phases::PAL,
+    phases::CLEANUP,
+    phases::RESUME,
 ];
 
 /// Span name for the pre-launch static-verification phase.
-pub const VERIFY_SPAN_NAME: &str = "phase.verify";
+pub const VERIFY_SPAN_NAME: &str = phases::VERIFY;
 /// Counter bumped when a bytecode payload passes the static verifier.
 pub const VERIFY_ACCEPT_COUNTER: &str = "verify.accept";
 /// Counter bumped when a bytecode payload fails the static verifier
@@ -164,7 +164,7 @@ pub const VERIFY_REJECT_COUNTER: &str = "verify.reject";
 /// `ct-*` checks run as part of verification; this span attributes their
 /// verdict separately so dashboards can distinguish a memory-safety
 /// rejection from a timing-channel one).
-pub const ANALYZE_SPAN_NAME: &str = "phase.analyze";
+pub const ANALYZE_SPAN_NAME: &str = phases::ANALYZE;
 /// Counter bumped when a bytecode payload has no `ct-*` findings.
 pub const CT_ACCEPT_COUNTER: &str = "verify.ct_accept";
 /// Counter bumped when a bytecode payload has `ct-*` findings (again,
@@ -179,27 +179,18 @@ pub const VM_INSNS_COUNTER: &str = "vm.insns";
 /// (the hot-loop signal for the profile plane).
 pub const VM_LOOP_ITERS_COUNTER: &str = "vm.loop_iters";
 
-fn phase_start(tracer: &Option<Trace>, clock: &SimClock, name: &'static str) -> Option<SpanId> {
-    tracer.as_ref().map(|t| {
-        t.event(
-            clock.now(),
-            EventKind::PhaseStart {
-                name: name.to_string(),
-            },
-        );
-        t.span_start(name, clock.now())
-    })
+/// Records the opening of phase `name`; the recorder folds it into the
+/// phase's span.
+fn phase_start(tracer: &Option<Trace>, clock: &SimClock, name: &'static str) {
+    if let Some(t) = tracer {
+        t.event(clock.now(), EventKind::PhaseStart { name });
+    }
 }
 
-fn phase_end(tracer: &Option<Trace>, clock: &SimClock, name: &'static str, id: Option<SpanId>) {
-    if let (Some(t), Some(id)) = (tracer.as_ref(), id) {
-        t.span_end(id, clock.now());
-        t.event(
-            clock.now(),
-            EventKind::PhaseEnd {
-                name: name.to_string(),
-            },
-        );
+/// Records the close of phase `name`, which closes its span.
+fn phase_end(tracer: &Option<Trace>, clock: &SimClock, name: &'static str) {
+    if let Some(t) = tracer {
+        t.event(clock.now(), EventKind::PhaseEnd { name });
     }
 }
 
@@ -320,7 +311,7 @@ pub fn run_session(
     // sessions can assert "no verified PAL ever faulted" — and so images
     // smuggled in through `build_unverified` are visibly on the record.
     if let PalPayload::Bytecode(prog) = slb.payload() {
-        let span = phase_start(&tracer, &clock, VERIFY_SPAN_NAME);
+        phase_start(&tracer, &clock, VERIFY_SPAN_NAME);
         let verdict = flicker_verifier::verify_program(prog);
         if let Some(t) = tracer.as_ref() {
             t.counter_add(
@@ -332,11 +323,11 @@ pub fn run_session(
                 1,
             );
         }
-        phase_end(&tracer, &clock, VERIFY_SPAN_NAME, span);
+        phase_end(&tracer, &clock, VERIFY_SPAN_NAME);
         // The ct verdict is a subset of the findings above; a separate
         // span + counter pair keeps timing-channel rejections visible
         // without re-running the analysis.
-        let span = phase_start(&tracer, &clock, ANALYZE_SPAN_NAME);
+        phase_start(&tracer, &clock, ANALYZE_SPAN_NAME);
         if let Some(t) = tracer.as_ref() {
             t.counter_add(
                 if verdict.ct_clean() {
@@ -347,7 +338,7 @@ pub fn run_session(
                 1,
             );
         }
-        phase_end(&tracer, &clock, ANALYZE_SPAN_NAME, span);
+        phase_end(&tracer, &clock, ANALYZE_SPAN_NAME);
     }
 
     // ----- Accept SLB + inputs; initialize (patch) the SLB ------------------
@@ -365,7 +356,7 @@ pub fn run_session(
 
     // ----- Suspend OS ---------------------------------------------------------
     let sw = Stopwatch::start(&clock);
-    let span = phase_start(&tracer, &clock, "phase.suspend");
+    phase_start(&tracer, &clock, phases::SUSPEND);
     if let Err(e) = os.suspend_for_session() {
         scrub_staging(os, slb_base, patched.len(), params.use_hashing_stub);
         return Err(e.into());
@@ -389,12 +380,12 @@ pub fn run_session(
         .write(slb_base + SAVED_STATE_OFFSET, &saved_state)?;
     machine.charge_cpu(SUSPEND_COST);
     machine.check_power()?;
-    phase_end(&tracer, &clock, "phase.suspend", span);
+    phase_end(&tracer, &clock, phases::SUSPEND);
     let t_suspend = sw.elapsed();
 
     // ----- SKINIT ---------------------------------------------------------------
     let sw = Stopwatch::start(&clock);
-    let span = phase_start(&tracer, &clock, "phase.skinit");
+    phase_start(&tracer, &clock, phases::SKINIT);
     let launch = machine.skinit(0, slb_base)?;
     let slb_measurement = launch.measurement;
     debug_assert_eq!(
@@ -402,12 +393,12 @@ pub fn run_session(
         flicker_crypto::sha1::sha1(&measured_at_base)
     );
     machine.check_power()?;
-    phase_end(&tracer, &clock, "phase.skinit", span);
+    phase_end(&tracer, &clock, phases::SKINIT);
     let t_skinit = sw.elapsed();
 
     // ----- Hashing stub (optional §7.2 path) --------------------------------------
     let sw = Stopwatch::start(&clock);
-    let span = phase_start(&tracer, &clock, "phase.stub_measure");
+    phase_start(&tracer, &clock, phases::STUB_MEASURE);
     if params.use_hashing_stub {
         // The stub hashes the full 64 KB window on the main CPU and extends
         // the result into PCR 17.
@@ -431,12 +422,12 @@ pub fn run_session(
         }
     }
     machine.check_power()?;
-    phase_end(&tracer, &clock, "phase.stub_measure", span);
+    phase_end(&tracer, &clock, phases::STUB_MEASURE);
     let t_stub = sw.elapsed();
 
     // ----- SLB Core init + PAL execution ---------------------------------------
     let sw = Stopwatch::start(&clock);
-    let span = phase_start(&tracer, &clock, "phase.pal");
+    phase_start(&tracer, &clock, phases::PAL);
     machine.charge_cpu(SLBCORE_INIT_COST);
     // The SLB Core records the entry measurement (PCR 17 after SKINIT and
     // any stub extends) before jumping to the PAL; charging the read here
@@ -491,12 +482,12 @@ pub fn run_session(
     }
     let ops = ctx.take_ops();
     machine.check_power()?;
-    phase_end(&tracer, &clock, "phase.pal", span);
+    phase_end(&tracer, &clock, phases::PAL);
     let t_pal = sw.elapsed();
 
     // ----- Cleanup + terminal extends (SLB Core) ---------------------------------
     let sw = Stopwatch::start(&clock);
-    let span = phase_start(&tracer, &clock, "phase.cleanup");
+    phase_start(&tracer, &clock, phases::CLEANUP);
     // Erase every byte the PAL could have dirtied: the 64 KB window, the
     // input page, and the whole output page (so a short or discarded
     // output never leaves a previous session's bytes behind).
@@ -529,18 +520,18 @@ pub fn run_session(
     machine.tpm_op_retrying(|t| t.pcr_extend(17, &TERMINATOR))?;
     let pcr17_final = machine.tpm_op_retrying(|t| t.pcr_read(17))?;
     machine.check_power()?;
-    phase_end(&tracer, &clock, "phase.cleanup", span);
+    phase_end(&tracer, &clock, phases::CLEANUP);
     let t_cleanup = sw.elapsed();
 
     // ----- Resume OS ---------------------------------------------------------------
     let sw = Stopwatch::start(&clock);
-    let span = phase_start(&tracer, &clock, "phase.resume");
+    phase_start(&tracer, &clock, phases::RESUME);
     machine.resume_os()?;
     machine.charge_cpu(RESUME_COST);
     machine.check_power()?;
     guard.os.resume_after_session()?;
     guard.disarm();
-    phase_end(&tracer, &clock, "phase.resume", span);
+    phase_end(&tracer, &clock, phases::RESUME);
     let t_resume = sw.elapsed();
     if let (Some(t), Some(id)) = (tracer.as_ref(), session_id) {
         t.event(clock.now(), EventKind::SessionEnd { id });

@@ -17,6 +17,7 @@ use crate::skinit::{SkinitCostModel, SLB_MAX_LEN};
 use flicker_crypto::sha1::sha1;
 use flicker_faults::{fired, FaultInjector};
 use flicker_tpm::{ClientSession, Tpm, TpmConfig, TpmError, TpmResult};
+use flicker_trace::attribution::categories;
 use flicker_trace::{EventKind, Trace};
 use std::time::Duration;
 
@@ -362,7 +363,7 @@ impl Machine {
         let elapsed = self.tpm.take_elapsed();
         self.clock.advance(elapsed);
         if let Some(t) = &self.tracer {
-            t.charge(self.clock.now(), "tpm", elapsed);
+            t.charge(self.clock.now(), categories::TPM, elapsed);
         }
         self.drain_tpm_events();
         self.poll_power();
@@ -429,7 +430,7 @@ impl Machine {
         }
         self.clock.advance(d);
         if let Some(t) = &self.tracer {
-            t.charge(self.clock.now(), "cpu", d);
+            t.charge(self.clock.now(), categories::CPU, d);
         }
         self.poll_power();
     }
@@ -444,7 +445,7 @@ impl Machine {
         }
         self.clock.advance(d);
         if let Some(t) = &self.tracer {
-            t.charge(self.clock.now(), "tpm_backoff", d);
+            t.charge(self.clock.now(), categories::TPM_BACKOFF, d);
         }
         self.poll_power();
     }
@@ -520,9 +521,6 @@ impl Machine {
         // Hardware protections: DEV over the full 64 KB window, interrupts
         // and debug off, flat 32-bit protected mode.
         let dev_token = self.dev.protect(slb_base, SLB_MAX_LEN as u64);
-        if let Some(t) = &self.tracer {
-            t.counter_add("dev.protect", 1);
-        }
         self.emit(EventKind::DevProtect {
             base: slb_base,
             len: SLB_MAX_LEN as u64,
@@ -565,7 +563,7 @@ impl Machine {
             // category (the paper's dominant fixed cost), not `tpm`:
             // skinit_measure_with_hint charges nothing through the
             // ordinal path, so there is no double count.
-            t.charge(self.clock.now(), "skinit", tpm_time + instr_time);
+            t.charge(self.clock.now(), categories::SKINIT, tpm_time + instr_time);
         }
         self.emit(EventKind::Skinit {
             slb_base,
@@ -602,9 +600,6 @@ impl Machine {
         match &mut self.active {
             Some(a) => {
                 a.extra_dev_tokens.push(token);
-                if let Some(t) = &self.tracer {
-                    t.counter_add("dev.protect", 1);
-                }
                 self.emit(EventKind::DevProtect { base: addr, len });
                 Ok(())
             }
@@ -627,9 +622,6 @@ impl Machine {
         self.dev.release(active.dev_token);
         for t in active.extra_dev_tokens {
             self.dev.release(t);
-        }
-        if let Some(t) = &self.tracer {
-            t.counter_add("dev.release", releases);
         }
         self.emit(EventKind::DevRelease { count: releases });
         let restored_if = active.saved.interrupts_enabled;

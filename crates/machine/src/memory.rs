@@ -109,7 +109,6 @@ impl PhysMemory {
         let r = self.range(addr, len)?;
         self.bytes[r].fill(0);
         if let Some(t) = &self.tracer {
-            t.counter_add("mem.zeroize_bytes", len as u64);
             t.event(
                 self.now(),
                 EventKind::Zeroize {

@@ -10,6 +10,7 @@
 use flicker_crypto::{CryptoRng, HmacDrbg};
 use flicker_faults::{fired, FaultInjector, NetFault};
 use flicker_machine::{RetryPolicy, SimClock};
+use flicker_trace::attribution::categories;
 use flicker_trace::{EventKind, Trace};
 use std::time::Duration;
 
@@ -56,7 +57,7 @@ impl NetLink {
     }
 
     /// Installs a tracer; sampled RTTs land in the `net.rtt` histogram and
-    /// injected drops bump the `net.drop` counter.
+    /// each injected drop is recorded as a `net_drop` fault event.
     pub fn set_tracer(&mut self, tracer: Trace) {
         self.tracer = Some(tracer);
     }
@@ -112,7 +113,6 @@ impl NetLink {
         match self.injector.as_ref().map(|i| i.net_fault()) {
             Some(NetFault::Drop) => {
                 if let Some(tr) = &self.tracer {
-                    tr.counter_add("net.drop", 1);
                     let at = self.clock.as_ref().map(SimClock::now).unwrap_or_default();
                     tr.event(
                         at,
@@ -144,7 +144,7 @@ impl NetLink {
 
     /// One-way delivery with sender-side retransmission: each consecutive
     /// drop charges the next wait of the capped exponential RTO schedule
-    /// ([`NetLink::rto_policy`]) before the resend — a lone drop still costs
+    /// (`NetLink::rto_policy`) before the resend — a lone drop still costs
     /// exactly one max RTT, while a burst backs off instead of hammering
     /// the link at a fixed cadence. Returns the total time from first
     /// transmission to delivery. With no injector (or no armed drops) this
@@ -175,7 +175,7 @@ impl NetLink {
         let d = self.one_way_reliable();
         clock.advance(d);
         if let Some(tr) = &self.tracer {
-            tr.charge(clock.now(), "net", d);
+            tr.charge(clock.now(), categories::NET, d);
         }
         d
     }
@@ -298,7 +298,6 @@ mod tests {
             skip: 0,
         })));
         link.one_way_reliable();
-        assert_eq!(trace.counter("net.drop"), 1);
         let events = trace.events();
         assert_eq!(events.len(), 1);
         assert!(matches!(

@@ -147,7 +147,6 @@ impl Os {
         }
         self.saved = Some(SavedKernelState::typical());
         if let Some(t) = self.machine.tracer() {
-            t.counter_add("os.suspend", 1);
             t.event(self.machine.clock().now(), EventKind::OsSuspend);
         }
         Ok(())
@@ -168,7 +167,6 @@ impl Os {
         // re-enable interrupts) is represented by the machine-level resume
         // the session driver performed. Nothing further to model.
         if let Some(t) = self.machine.tracer() {
-            t.counter_add("os.resume", 1);
             t.event(self.machine.clock().now(), EventKind::OsResume);
         }
         Ok(())

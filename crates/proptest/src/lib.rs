@@ -243,7 +243,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Clone, Copy, Debug)]
     pub struct VecStrategy<S> {
         element: S,

@@ -199,18 +199,17 @@ impl Tpm {
         self.elapsed += d;
     }
 
-    /// Charges `d` and records it as a latency observation for `ordinal`
-    /// (the command's spec name, prefixed `tpm.`) when a tracer is
-    /// installed. Every ordinal-gated command funnels its cost through
-    /// here, so a trace sees the complete per-command latency picture —
-    /// and a `TpmCommand` flight-recorder event is pended per command.
+    /// Charges `d` for `ordinal` (the command's spec name, e.g.
+    /// `TPM_Seal`) and, when a tracer is installed, pends a `TpmCommand`
+    /// flight-recorder event carrying it. Every ordinal-gated command
+    /// funnels its cost through here, so the recorder's `tpm.<ordinal>`
+    /// histograms, folded from those events, see the complete per-command
+    /// latency picture.
     fn charge_traced(&mut self, ordinal: &'static str, d: Duration) {
         self.elapsed += d;
-        if let Some(t) = &self.tracer {
-            t.observe(ordinal, d);
-            let spec_name = ordinal.strip_prefix("tpm.").unwrap_or(ordinal);
+        if self.tracer.is_some() {
             self.pending_events.push(EventKind::TpmCommand {
-                ordinal: spec_name.to_string(),
+                ordinal: ordinal.to_string(),
                 locality: 0,
                 dur_ns: u64::try_from(d.as_nanos()).unwrap_or(u64::MAX),
             });
@@ -238,8 +237,8 @@ impl Tpm {
 
     // ----- tracing --------------------------------------------------------
 
-    /// Installs a trace recorder; subsequent commands record per-ordinal
-    /// latency observations into it.
+    /// Installs a trace recorder; subsequent commands pend flight-recorder
+    /// events for the platform to record into it.
     pub fn set_tracer(&mut self, tracer: Trace) {
         self.tracer = Some(tracer);
     }
@@ -269,9 +268,6 @@ impl Tpm {
             if inj.tpm_command_gate(command) {
                 let cost = self.config.timing.pcr_read;
                 self.charge(cost);
-                if let Some(t) = &self.tracer {
-                    t.counter_add("tpm.busy", 1);
-                }
                 self.pend(EventKind::FaultInjected {
                     fault: fired::TPM_TRANSIENT.to_string(),
                 });
@@ -310,7 +306,7 @@ impl Tpm {
         // next reboot flushes the key slots.
         self.loaded_keys.insert(handle);
         let load_cost = self.config.timing.load_key;
-        self.charge_traced("tpm.TPM_MakeIdentity", load_cost);
+        self.charge_traced("TPM_MakeIdentity", load_cost);
         Ok((handle, cert))
     }
 
@@ -328,7 +324,7 @@ impl Tpm {
     pub fn pcr_read(&mut self, index: u32) -> TpmResult<PcrValue> {
         self.gate("TPM_PCRRead")?;
         let cost = self.config.timing.pcr_read;
-        self.charge_traced("tpm.TPM_PCRRead", cost);
+        self.charge_traced("TPM_PCRRead", cost);
         self.pcrs.read(index)
     }
 
@@ -336,7 +332,7 @@ impl Tpm {
     pub fn pcr_extend(&mut self, index: u32, measurement: &[u8; 20]) -> TpmResult<PcrValue> {
         self.gate("TPM_Extend")?;
         let cost = self.config.timing.pcr_extend;
-        self.charge_traced("tpm.TPM_Extend", cost);
+        self.charge_traced("TPM_Extend", cost);
         let value = self.pcrs.extend(index, measurement)?;
         self.pend(EventKind::PcrExtend { index, locality: 0 });
         Ok(value)
@@ -402,7 +398,7 @@ impl Tpm {
     /// `TPM_GetRandom`.
     pub fn get_random(&mut self, n: usize) -> Vec<u8> {
         let cost = self.config.timing.get_random(n);
-        self.charge_traced("tpm.TPM_GetRandom", cost);
+        self.charge_traced("TPM_GetRandom", cost);
         let mut out = vec![0u8; n];
         self.drbg.generate(&mut out);
         out
@@ -415,7 +411,7 @@ impl Tpm {
     /// authdata, which the caller must know).
     pub fn oiap(&mut self, object_auth: AuthData) -> ClientSession {
         let cost = self.config.timing.session_start;
-        self.charge_traced("tpm.TPM_OIAP", cost);
+        self.charge_traced("TPM_OIAP", cost);
         let nonce_even = self.fresh_nonce();
         let handle = self.next_session_handle;
         self.next_session_handle += 1;
@@ -435,7 +431,7 @@ impl Tpm {
     /// via the derived shared secret.
     pub fn osap(&mut self, object_auth: AuthData, nonce_odd_osap: Nonce) -> ClientSession {
         let cost = self.config.timing.session_start;
-        self.charge_traced("tpm.TPM_OSAP", cost);
+        self.charge_traced("TPM_OSAP", cost);
         let nonce_even = self.fresh_nonce();
         let nonce_even_osap = self.fresh_nonce();
         let shared = osap_shared_secret(&object_auth, &nonce_even_osap, &nonce_odd_osap);
@@ -598,7 +594,7 @@ impl Tpm {
             .storage_root
             .seal(data, selection, digest, blob_auth, nonce);
         let cost = self.config.timing.seal;
-        self.charge_traced("tpm.TPM_Seal", cost);
+        self.charge_traced("TPM_Seal", cost);
         Ok(blob)
     }
 
@@ -610,7 +606,7 @@ impl Tpm {
             return Err(TpmError::NoSrk);
         }
         let cost = self.config.timing.unseal;
-        self.charge_traced("tpm.TPM_Unseal", cost);
+        self.charge_traced("TPM_Unseal", cost);
         let (selection, digest_at_release, blob_auth, data) = self.storage_root.open(blob)?;
         let param_digest = Self::param_digest(&[b"TPM_Unseal", blob.as_bytes()]);
         self.verify_auth(&blob_auth, &param_digest, auth)?;
@@ -658,7 +654,7 @@ impl Tpm {
         }
         if self.loaded_keys.insert(aik_handle) {
             let load_cost = self.config.timing.load_key;
-            self.charge_traced("tpm.TPM_LoadKey2", load_cost);
+            self.charge_traced("TPM_LoadKey2", load_cost);
             if let Some(t) = &self.tracer {
                 t.counter_add("warm.miss", 1);
             }
@@ -677,7 +673,7 @@ impl Tpm {
         let q = sign_quote(&aik.private, selection.clone(), values, nonce)
             .map_err(|_| TpmError::BadParameter("quote signing failed"))?;
         let cost = self.config.timing.quote;
-        self.charge_traced("tpm.TPM_Quote", cost);
+        self.charge_traced("TPM_Quote", cost);
         Ok(q)
     }
 
@@ -697,7 +693,7 @@ impl Tpm {
         }
         self.nv.define(index, size, policy);
         let cost = self.config.timing.nv_op;
-        self.charge_traced("tpm.TPM_NV_DefineSpace", cost);
+        self.charge_traced("TPM_NV_DefineSpace", cost);
         Ok(())
     }
 
@@ -705,7 +701,7 @@ impl Tpm {
     pub fn nv_read(&mut self, index: u32) -> TpmResult<Vec<u8>> {
         self.gate("TPM_NV_ReadValue")?;
         let cost = self.config.timing.nv_op;
-        self.charge_traced("tpm.TPM_NV_ReadValue", cost);
+        self.charge_traced("TPM_NV_ReadValue", cost);
         self.nv.read(index, &self.pcrs)
     }
 
@@ -717,7 +713,7 @@ impl Tpm {
     pub fn nv_write(&mut self, index: u32, offset: usize, data: &[u8]) -> TpmResult<()> {
         self.gate("TPM_NV_WriteValue")?;
         let cost = self.config.timing.nv_op;
-        self.charge_traced("tpm.TPM_NV_WriteValue", cost);
+        self.charge_traced("TPM_NV_WriteValue", cost);
         if let Some(keep) = self
             .injector
             .as_ref()
@@ -742,7 +738,7 @@ impl Tpm {
     /// `TPM_CreateCounter`.
     pub fn create_counter(&mut self) -> (u32, u64) {
         let cost = self.config.timing.counter_op;
-        self.charge_traced("tpm.TPM_CreateCounter", cost);
+        self.charge_traced("TPM_CreateCounter", cost);
         self.counters.create()
     }
 
@@ -750,7 +746,7 @@ impl Tpm {
     pub fn increment_counter(&mut self, id: u32) -> TpmResult<u64> {
         self.gate("TPM_IncrementCounter")?;
         let cost = self.config.timing.counter_op;
-        self.charge_traced("tpm.TPM_IncrementCounter", cost);
+        self.charge_traced("TPM_IncrementCounter", cost);
         self.counters.increment(id)
     }
 
@@ -758,7 +754,7 @@ impl Tpm {
     pub fn read_counter(&mut self, id: u32) -> TpmResult<u64> {
         self.gate("TPM_ReadCounter")?;
         let cost = self.config.timing.counter_op;
-        self.charge_traced("tpm.TPM_ReadCounter", cost);
+        self.charge_traced("TPM_ReadCounter", cost);
         self.counters.read(id)
     }
 
@@ -1264,14 +1260,23 @@ mod tests {
         assert_eq!(t.take_elapsed(), t.timing().pcr_extend);
     }
 
+    /// Records the TPM's pended events into `trace`, as the platform's
+    /// drain does after each command.
+    fn drain(t: &mut Tpm, trace: &flicker_trace::Trace) {
+        for kind in t.take_pending_events() {
+            trace.event(Duration::ZERO, kind);
+        }
+    }
+
     #[test]
-    fn tracer_records_per_ordinal_latency() {
+    fn recorded_commands_fold_into_per_ordinal_latency() {
         let mut t = tpm();
         let trace = flicker_trace::Trace::new();
         t.set_tracer(trace.clone());
         t.pcr_extend(17, &[0; 20]).unwrap();
         t.pcr_extend(17, &[1; 20]).unwrap();
         t.pcr_read(17).unwrap();
+        drain(&mut t, &trace);
 
         let extend = trace.histogram("tpm.TPM_Extend").expect("extend traced");
         assert_eq!(extend.count(), 2);
@@ -1282,6 +1287,7 @@ mod tests {
 
         t.clear_tracer();
         t.pcr_read(17).unwrap();
+        drain(&mut t, &trace);
         assert_eq!(
             trace.histogram("tpm.TPM_PCRRead").unwrap().count(),
             1,
@@ -1290,7 +1296,7 @@ mod tests {
     }
 
     #[test]
-    fn tracer_counts_busy_responses() {
+    fn busy_responses_are_faults_not_commands() {
         use flicker_faults::{Fault, FaultInjector, FaultPlan};
         let mut t = tpm();
         let trace = flicker_trace::Trace::new();
@@ -1302,7 +1308,16 @@ mod tests {
         assert_eq!(t.pcr_read(17), Err(TpmError::Retry));
         assert_eq!(t.pcr_read(17), Err(TpmError::Retry));
         t.pcr_read(17).unwrap();
-        assert_eq!(trace.counter("tpm.busy"), 2);
+        drain(&mut t, &trace);
+        let busy = trace
+            .events()
+            .iter()
+            .filter(|e| {
+                matches!(&e.kind, EventKind::FaultInjected { fault }
+                    if fault == fired::TPM_TRANSIENT)
+            })
+            .count();
+        assert_eq!(busy, 2);
         // Busy responses are not command completions: only the successful
         // read lands in the latency histogram.
         assert_eq!(trace.histogram("tpm.TPM_PCRRead").unwrap().count(), 1);

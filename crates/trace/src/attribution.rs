@@ -263,7 +263,7 @@ pub fn attribute(coordinator: &[Event], shards: &[ShardStream]) -> FarmAttributi
                 }
                 EventKind::Charge { op, ns } => {
                     let a = attempt_entry(&mut reqs, ctx, shard.machine);
-                    *a.by_category.entry(op.clone()).or_default() += Duration::from_nanos(*ns);
+                    *a.by_category.entry(op.to_string()).or_default() += Duration::from_nanos(*ns);
                 }
                 EventKind::TpmCommand {
                     ordinal, dur_ns, ..
@@ -548,9 +548,9 @@ mod tests {
         e
     }
 
-    fn charge(at: Duration, op: &str, ns: u64, request: u64, attempt: u32) -> Event {
+    fn charge(at: Duration, op: &'static str, ns: u64, request: u64, attempt: u32) -> Event {
         ctxed(
-            Event::new(at, EventKind::Charge { op: op.into(), ns }),
+            Event::new(at, EventKind::Charge { op, ns }),
             request,
             attempt,
         )
@@ -631,7 +631,7 @@ mod tests {
         // Drop the tpm charge: 6ms of the attempt goes dark.
         shards[0]
             .events
-            .retain(|e| !matches!(&e.kind, EventKind::Charge { op, .. } if op == "tpm"));
+            .retain(|e| !matches!(&e.kind, EventKind::Charge { op, .. } if *op == categories::TPM));
         let attr = attribute(&coordinator, &shards);
         let r = &attr.requests[0];
         assert_eq!(r.unattributed(), ms(6));

@@ -12,7 +12,44 @@
 //! The stream is what `trace::audit` replays to check the paper's Figure-2
 //! ordering invariants, and what the JSONL / Chrome-trace exporters emit.
 
+use crate::attribution::categories;
 use std::time::Duration;
+
+/// The Figure-2 phase names: the closed set a [`EventKind::PhaseStart`] or
+/// [`EventKind::PhaseEnd`] carries, and the names of the spans the recorder
+/// folds from them.
+pub mod phases {
+    /// The flicker-module suspends the OS.
+    pub const SUSPEND: &str = "phase.suspend";
+    /// `SKINIT`: DEV protection, PCR-17 reset and the SLB measurement.
+    pub const SKINIT: &str = "phase.skinit";
+    /// The optional §7.2 hashing stub extends the window's hash into
+    /// PCR 17 (empty without a stub).
+    pub const STUB_MEASURE: &str = "phase.stub_measure";
+    /// SLB Core init and the PAL's execution.
+    pub const PAL: &str = "phase.pal";
+    /// The SLB Core erases secrets, publishes outputs and makes the
+    /// terminal PCR-17 extends.
+    pub const CLEANUP: &str = "phase.cleanup";
+    /// The OS resumes.
+    pub const RESUME: &str = "phase.resume";
+    /// Static verification of a bytecode PAL before launch.
+    pub const VERIFY: &str = "phase.verify";
+    /// The constant-time / secret-flow verdict of a bytecode PAL.
+    pub const ANALYZE: &str = "phase.analyze";
+
+    /// Every phase name.
+    pub const ALL: [&str; 8] = [
+        SUSPEND,
+        SKINIT,
+        STUB_MEASURE,
+        PAL,
+        CLEANUP,
+        RESUME,
+        VERIFY,
+        ANALYZE,
+    ];
+}
 
 /// Dapper-style request context: identifies the farm request (trace id) and
 /// attempt (span within the trace) an event belongs to.
@@ -68,15 +105,17 @@ pub enum EventKind {
         /// The id from the matching [`EventKind::SessionStart`].
         id: u64,
     },
-    /// A Figure-2 phase opened (e.g. `phase.skinit`).
+    /// A Figure-2 phase opened (e.g. `phase.skinit`); the recorder opens
+    /// the phase's span.
     PhaseStart {
-        /// Phase span name.
-        name: String,
+        /// Phase span name, one of [`phases::ALL`].
+        name: &'static str,
     },
-    /// A Figure-2 phase closed.
+    /// A Figure-2 phase closed; the recorder closes the innermost open
+    /// span of that name.
     PhaseEnd {
-        /// Phase span name.
-        name: String,
+        /// Phase span name, one of [`phases::ALL`].
+        name: &'static str,
     },
     /// A TPM command completed (successfully or not) at a software
     /// locality.
@@ -94,8 +133,9 @@ pub enum EventKind {
     /// `retry_backoff`). Emitted only while a [`RequestCtx`] is in force,
     /// so idle shards and provisioning stay cheap.
     Charge {
-        /// Attribution category the time belongs to.
-        op: String,
+        /// Attribution category the time belongs to, one of
+        /// [`categories::ON_SHARD`].
+        op: &'static str,
         /// Charged duration in nanoseconds.
         ns: u64,
     },
@@ -209,13 +249,18 @@ impl EventKind {
     }
 }
 
-/// Appends `s` to `out` with JSON string escaping.
-pub(crate) fn escape(s: &str, out: &mut String) {
+/// Appends `s` to `out` as the body of a JSON string (no surrounding
+/// quotes): `"`, `\`, newline, tab and carriage return take their short
+/// escapes, every other control character a `\u00XX` one. The one JSON
+/// string escaper of the workspace.
+pub fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
@@ -226,7 +271,7 @@ fn push_str_field(out: &mut String, key: &str, value: &str) {
     out.push_str(",\"");
     out.push_str(key);
     out.push_str("\":\"");
-    escape(value, out);
+    escape_json(value, out);
     out.push('"');
 }
 
@@ -348,21 +393,29 @@ impl Event {
     pub fn from_jsonl(line: &str) -> Result<Event, String> {
         let at_ns = field_u64(line, "at_ns").ok_or_else(|| format!("missing at_ns: {line}"))?;
         let at = Duration::from_nanos(at_ns);
-        let kind_name = field_str(line, "kind").ok_or_else(|| format!("missing kind: {line}"))?;
+        let kind_name = field_str(line, "kind").map_err(|e| format!("{e}: {line}"))?;
         let req_u64 = |key: &str| req_num::<u64>(line, &kind_name, key);
         let req_u32 = |key: &str| req_num::<u32>(line, &kind_name, key);
         let req_u8 = |key: &str| req_num::<u8>(line, &kind_name, key);
-        let req_str = |key: &str| {
-            field_str(line, key).ok_or_else(|| format!("missing {key} in {kind_name} event"))
+        let req_str =
+            |key: &str| field_str(line, key).map_err(|e| format!("{e} in {kind_name} event"));
+        // A name field drawn from a closed set maps back to the set's
+        // `&'static str`; a name outside it is an error naming the field.
+        let req_name = |key: &str, set: &[&'static str]| {
+            let name = req_str(key)?;
+            set.iter()
+                .copied()
+                .find(|n| *n == name)
+                .ok_or_else(|| format!("unknown {key} {name:?} in {kind_name} event"))
         };
         let kind = match kind_name.as_str() {
             "session_start" => EventKind::SessionStart { id: req_u64("id")? },
             "session_end" => EventKind::SessionEnd { id: req_u64("id")? },
             "phase_start" => EventKind::PhaseStart {
-                name: req_str("name")?,
+                name: req_name("name", &phases::ALL)?,
             },
             "phase_end" => EventKind::PhaseEnd {
-                name: req_str("name")?,
+                name: req_name("name", &phases::ALL)?,
             },
             "tpm_command" => EventKind::TpmCommand {
                 ordinal: req_str("ordinal")?,
@@ -371,7 +424,7 @@ impl Event {
                 dur_ns: field_u64(line, "dur_ns").unwrap_or(0),
             },
             "charge" => EventKind::Charge {
-                op: req_str("op")?,
+                op: req_name("op", &categories::ON_SHARD)?,
                 ns: req_u64("ns")?,
             },
             "anchor" => EventKind::Anchor {
@@ -465,29 +518,54 @@ fn field_bool(line: &str, key: &str) -> Option<bool> {
     }
 }
 
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let rest = &line[value_offset(line, key)?..];
-    let rest = rest.strip_prefix('"')?;
+/// Reads the string `key`, decoding every JSON escape: the eight short
+/// forms and `\uXXXX`, a surrogate pair as one character. Any other
+/// escape is an error naming the field, never a guess at what was meant.
+fn field_str(line: &str, key: &str) -> Result<String, String> {
+    let rest = value_offset(line, key)
+        .and_then(|i| line[i..].strip_prefix('"'))
+        .ok_or_else(|| format!("missing {key}"))?;
+    let bad = |what: &str| format!("{key}: {what}");
     let mut out = String::new();
     let mut chars = rest.chars();
     while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
+        let c = match c {
+            '"' => return Ok(out),
+            '\\' => match chars.next() {
+                Some('"') => '"',
+                Some('\\') => '\\',
+                Some('/') => '/',
+                Some('b') => '\u{8}',
+                Some('f') => '\u{c}',
+                Some('n') => '\n',
+                Some('r') => '\r',
+                Some('t') => '\t',
+                Some('u') => match hex4(&mut chars) {
+                    // A high surrogate pairs with the low one escaped next.
+                    Some(hi @ 0xD800..0xDC00)
+                        if chars.next() == Some('\\') && chars.next() == Some('u') =>
+                    {
+                        hex4(&mut chars)
+                            .filter(|lo| (0xDC00..0xE000).contains(lo))
+                            .map(|lo| 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00))
+                    }
+                    code => code,
                 }
-                other => out.push(other),
+                .and_then(char::from_u32)
+                .ok_or_else(|| bad("bad \\u escape or unpaired surrogate"))?,
+                Some(other) => return Err(bad(&format!("invalid escape \\{other}"))),
+                None => break,
             },
-            c => out.push(c),
-        }
+            c => c,
+        };
+        out.push(c);
     }
-    None
+    Err(bad("unterminated string"))
+}
+
+/// Four hex digits of a `\u` escape as a code unit.
+fn hex4(chars: &mut std::str::Chars<'_>) -> Option<u32> {
+    (0..4).try_fold(0, |acc, _| Some(acc * 16 + chars.next()?.to_digit(16)?))
 }
 
 #[cfg(test)]
@@ -507,10 +585,10 @@ mod tests {
             EventKind::SessionStart { id: 7 },
             EventKind::SessionEnd { id: 7 },
             EventKind::PhaseStart {
-                name: "phase.skinit".into(),
+                name: phases::SKINIT,
             },
             EventKind::PhaseEnd {
-                name: "phase.skinit".into(),
+                name: phases::SKINIT,
             },
             EventKind::TpmCommand {
                 ordinal: "TPM_Seal".into(),
@@ -518,7 +596,7 @@ mod tests {
                 dur_ns: 417_000,
             },
             EventKind::Charge {
-                op: "tpm_backoff".into(),
+                op: categories::TPM_BACKOFF,
                 ns: 1_000_000,
             },
             EventKind::Anchor {
@@ -573,12 +651,70 @@ mod tests {
 
     #[test]
     fn strings_with_specials_round_trip() {
-        round_trip(Event::new(
-            Duration::ZERO,
-            EventKind::FaultInjected {
-                fault: "weird \"name\"\\with\nspecials".into(),
-            },
-        ));
+        for fault in [
+            "weird \"name\"\\with\nspecials",
+            "tab\there, cr\rthere, \u{1} and a/slash",
+        ] {
+            round_trip(Event::new(
+                Duration::ZERO,
+                EventKind::FaultInjected {
+                    fault: fault.into(),
+                },
+            ));
+        }
+    }
+
+    #[test]
+    fn every_json_escape_decodes_and_others_are_rejected() {
+        let fault = |escaped: &str| {
+            Event::from_jsonl(&format!(
+                r#"{{"at_ns":1,"kind":"fault","fault":"{escaped}"}}"#
+            ))
+            .map(|e| match e.kind {
+                EventKind::FaultInjected { fault } => fault,
+                other => panic!("{other:?}"),
+            })
+        };
+        for (escaped, decoded) in [
+            (r"a\tb", "a\tb"),
+            (r"a\/b", "a/b"),
+            (r"a\rb", "a\rb"),
+            (r"a\bb", "a\u{8}b"),
+            (r"a\fb", "a\u{c}b"),
+            (r#"\"\\\n"#, "\"\\\n"),
+            (r"\u0041\u00e9", "A\u{e9}"),
+            (r"\ud83d\ude00", "\u{1f600}"),
+        ] {
+            assert_eq!(fault(escaped).as_deref(), Ok(decoded), "{escaped}");
+        }
+        for escaped in [r"a\qb", r"\u12", r"\ud83d", r"\ud83dx\ude00", r"\ude00"] {
+            let err = fault(escaped).expect_err(escaped);
+            assert!(err.starts_with("fault: "), "{escaped}: {err}");
+        }
+    }
+
+    #[test]
+    fn names_outside_their_closed_set_are_rejected_with_their_field() {
+        for (line, field) in [
+            (
+                r#"{"at_ns":1,"kind":"phase_start","name":"phase.nap"}"#,
+                "name",
+            ),
+            (
+                r#"{"at_ns":1,"kind":"phase_end","name":"phase.Suspend"}"#,
+                "name",
+            ),
+            (r#"{"at_ns":1,"kind":"charge","op":"gpu","ns":5}"#, "op"),
+        ] {
+            let err = Event::from_jsonl(line).expect_err(line);
+            assert!(err.contains(&format!("unknown {field}")), "{line}: {err}");
+        }
+        for name in phases::ALL {
+            round_trip(Event::new(Duration::ZERO, EventKind::PhaseEnd { name }));
+        }
+        for op in categories::ON_SHARD {
+            round_trip(Event::new(Duration::ZERO, EventKind::Charge { op, ns: 1 }));
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`prometheus_text`] — Prometheus text exposition of counters (as
 //!   `_total`) and histograms (cumulative `le` buckets in seconds).
 
-use crate::event::{escape, fields_object};
-use crate::{Event, Trace};
+use crate::event::fields_object;
+use crate::{escape_json, Event, Trace};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -35,7 +35,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
             continue;
         };
         let mut name = String::new();
-        escape(span.name, &mut name);
+        escape_json(span.name, &mut name);
         entries.push(format!(
             "{{\"ph\":\"X\",\"name\":\"{name}\",\"cat\":\"span\",\"pid\":1,\"tid\":1,\
              \"ts\":{},\"dur\":{},\"args\":{}}}",
@@ -125,7 +125,7 @@ pub fn prometheus_text(trace: &Trace) -> String {
         let _ = writeln!(out, "{metric}_total {value}");
     }
     for (name, hist) in trace.histograms() {
-        let metric = format!("{}_seconds", metric_name(name));
+        let metric = format!("{}_seconds", metric_name(&name));
         let _ = writeln!(
             out,
             "# HELP {metric} Virtual-clock latency distribution of {name}."
@@ -146,25 +146,31 @@ pub fn prometheus_text(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EventKind;
+    use crate::{phases, EventKind};
 
     fn sample_trace() -> Trace {
         let t = Trace::new();
-        let outer = t.span_start("phase.pal", Duration::from_micros(10));
-        t.span_end(outer, Duration::from_micros(250));
-        t.span_start("open.span", Duration::from_micros(300));
-        t.counter_add("tpm.retry", 3);
-        t.observe("tpm.TPM_Seal", Duration::from_millis(20));
-        t.observe("tpm.TPM_Seal", Duration::from_millis(21));
-        t.event(
-            Duration::from_micros(42),
-            EventKind::TpmCommand {
-                ordinal: "TPM_Seal".into(),
-                locality: 0,
-                dur_ns: 20_000_000,
+        let phase = |at, kind| t.event(Duration::from_micros(at), kind);
+        phase(10, EventKind::PhaseStart { name: phases::PAL });
+        phase(250, EventKind::PhaseEnd { name: phases::PAL });
+        phase(
+            300,
+            EventKind::PhaseStart {
+                name: phases::CLEANUP,
             },
         );
-        t.event(Duration::from_micros(50), EventKind::OsResume);
+        t.counter_add("tpm.retry", 3);
+        for (at, dur_ns) in [(42, 20_000_000), (45, 21_000_000)] {
+            phase(
+                at,
+                EventKind::TpmCommand {
+                    ordinal: "TPM_Seal".into(),
+                    locality: 0,
+                    dur_ns,
+                },
+            );
+        }
+        phase(50, EventKind::OsResume);
         t
     }
 
@@ -177,7 +183,7 @@ mod tests {
         assert!(json.contains("\"name\":\"phase.pal\""));
         assert!(json.contains("\"dur\":240.000"), "{json}");
         assert!(
-            !json.contains("open.span"),
+            !json.contains("\"ph\":\"X\",\"name\":\"phase.cleanup\""),
             "open spans must be skipped: {json}"
         );
     }
@@ -317,8 +323,18 @@ flicker_net_rtt_seconds_count 2
             attempt: 2,
         }));
         t.event(Duration::from_micros(1), EventKind::OsSuspend);
-        let s = t.span_start("phase.skinit", Duration::from_micros(2));
-        t.span_end(s, Duration::from_micros(3));
+        t.event(
+            Duration::from_micros(2),
+            EventKind::PhaseStart {
+                name: phases::SKINIT,
+            },
+        );
+        t.event(
+            Duration::from_micros(3),
+            EventKind::PhaseEnd {
+                name: phases::SKINIT,
+            },
+        );
         let json = chrome_trace_json(&t);
         assert!(
             json.contains("\"args\":{\"req\":11,\"attempt\":2}"),

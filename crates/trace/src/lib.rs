@@ -6,23 +6,31 @@
 //! boot"). That keeps `flicker-trace` dependency-free and lets it sit below
 //! every other crate in the workspace.
 //!
-//! Three primitives, mirroring what the perf-baseline harness consumes:
-//!
-//! * **Spans** — named intervals with nesting ([`Trace::span_start`] /
-//!   [`Trace::span_end`]). `run_session` opens one span per Figure-2 phase.
-//! * **Counters** — saturating named totals ([`Trace::counter_add`]), e.g.
-//!   `tpm.retry` or `mem.zeroize_bytes`.
-//! * **Observations** — named duration samples ([`Trace::observe`]) folded
-//!   into a log-bucketed [`DurationHistogram`], e.g. per-TPM-ordinal command
-//!   latency or net RTTs.
-//!
-//! A fourth primitive turns the trace into a **flight recorder**: a bounded
-//! ring buffer of typed [`Event`]s ([`Trace::event`]) — session and phase
+//! One write, three views. [`Trace::event`] records a typed [`Event`]
+//! into a bounded ring buffer, the **flight recorder**: session and phase
 //! transitions, TPM commands, PCR extends/resets, DEV protect/release,
 //! interrupt-flag changes, zeroize sweeps, injected faults. The [`audit`]
 //! module replays that stream against the paper's Figure-2/§4 ordering
 //! invariants, and [`export`] renders it as Chrome `trace_event` JSON,
-//! JSONL, or Prometheus-style text.
+//! JSONL, or Prometheus-style text. The views the perf-baseline harness
+//! consumes are folded from the same events:
+//!
+//! * **Spans**: named, nested intervals. [`EventKind::PhaseStart`] opens
+//!   one; [`EventKind::PhaseEnd`] closes the innermost open span of its
+//!   name, with any span opened after it. `run_session` records one pair
+//!   per Figure-2 phase ([`phases`]).
+//! * **Counters**: saturating named totals. `dev.protect`, `dev.release`,
+//!   `mem.zeroize_bytes`, `os.suspend` and `os.resume` are folded from
+//!   the events of those names; counts no event carries (e.g. `tpm.retry`)
+//!   are written with [`Trace::counter_add`].
+//! * **Histograms**: duration samples in a log-bucketed
+//!   [`DurationHistogram`]. `tpm.<ordinal>` is folded from each
+//!   [`EventKind::TpmCommand`]'s `dur_ns`; durations no event carries
+//!   (e.g. net RTTs) are written with [`Trace::observe`].
+//!
+//! The fold happens at record time, under the recorder's lock, before the
+//! ring can evict the event: a view never loses what a full ring drops,
+//! and no fact an event carries is written a second time.
 //!
 //! A [`Trace`] is a cheap cloneable handle (`Arc<Mutex<..>>`, `Send + Sync`
 //! like the fault injector); every component that wants to record clones
@@ -48,7 +56,7 @@ pub mod export;
 mod hist;
 pub mod profile;
 
-pub use event::{Event, EventKind, RequestCtx};
+pub use event::{escape_json, phases, Event, EventKind, RequestCtx};
 pub use hist::DurationHistogram;
 
 use std::collections::{BTreeMap, VecDeque};
@@ -64,12 +72,9 @@ pub const DROPPED_EVENTS_COUNTER: &str = "trace.dropped_events";
 /// spare.
 pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;
 
-/// Identifies a span within one [`Trace`]; returned by [`Trace::span_start`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpanId(usize);
-
-/// A completed (or still-open) named interval.
-#[derive(Debug, Clone)]
+/// A completed (or still-open) named interval, folded from a
+/// [`EventKind::PhaseStart`] and its [`EventKind::PhaseEnd`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Static span name, e.g. `"phase.skinit"`.
     pub name: &'static str,
@@ -79,8 +84,8 @@ pub struct Span {
     pub duration: Option<Duration>,
     /// Nesting depth: 0 for a root span.
     pub depth: usize,
-    /// The enclosing span, if any.
-    pub parent: Option<SpanId>,
+    /// The enclosing span's index in [`Trace::spans`], if any.
+    pub parent: Option<usize>,
     /// The farm request the span belongs to, when one was in force on the
     /// recorder at open time.
     pub ctx: Option<RequestCtx>,
@@ -100,9 +105,12 @@ pub struct OpEvent {
 
 struct Inner {
     spans: Vec<Span>,
-    open: Vec<SpanId>,
+    /// Indices into `spans` of the open spans, outermost first.
+    open: Vec<usize>,
     counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, DurationHistogram>,
+    histograms: BTreeMap<String, DurationHistogram>,
+    /// Reused buffer for `tpm.<ordinal>` histogram names.
+    histogram_key: String,
     events: VecDeque<Event>,
     event_capacity: usize,
     next_session_id: u64,
@@ -124,6 +132,7 @@ impl Inner {
             open: Vec::new(),
             counters: BTreeMap::new(),
             histograms: BTreeMap::new(),
+            histogram_key: String::new(),
             events: VecDeque::with_capacity(event_capacity),
             event_capacity,
             next_session_id: 0,
@@ -135,16 +144,79 @@ impl Inner {
     fn evict_to(&mut self, keep: usize) {
         while self.events.len() > keep {
             self.events.pop_front();
-            let c = self.counters.entry(DROPPED_EVENTS_COUNTER).or_insert(0);
-            *c = c.saturating_add(1);
+            self.counter_add(DROPPED_EVENTS_COUNTER, 1);
         }
     }
 
-    /// Appends an event, evicting the oldest first when the ring is full,
-    /// so the ring never outgrows its allocation.
-    fn push_event(&mut self, event: Event) {
+    /// Folds an event into the views, then appends it, evicting the oldest
+    /// first when the ring is full, so the ring never outgrows its
+    /// allocation.
+    fn record(&mut self, event: Event) {
+        self.fold(&event);
         self.evict_to(self.event_capacity - 1);
         self.events.push_back(event);
+    }
+
+    /// Folds the facts `event` carries into the spans, the `tpm.<ordinal>`
+    /// histograms and the event-mirroring counters.
+    fn fold(&mut self, event: &Event) {
+        match &event.kind {
+            EventKind::PhaseStart { name } => {
+                self.spans.push(Span {
+                    name,
+                    start: event.at,
+                    duration: None,
+                    depth: self.open.len(),
+                    parent: self.open.last().copied(),
+                    ctx: event.ctx,
+                });
+                self.open.push(self.spans.len() - 1);
+            }
+            EventKind::PhaseEnd { name } => {
+                // A span cannot outlive its parent: closing one closes every
+                // span opened after it. No open span of the name: a no-op.
+                let Some(pos) = self.open.iter().rposition(|&i| self.spans[i].name == *name) else {
+                    return;
+                };
+                for &i in &self.open[pos..] {
+                    let span = &mut self.spans[i];
+                    span.duration = Some(event.at.saturating_sub(span.start));
+                }
+                self.open.truncate(pos);
+            }
+            EventKind::TpmCommand {
+                ordinal, dur_ns, ..
+            } => {
+                self.histogram_key.clear();
+                self.histogram_key.push_str("tpm.");
+                self.histogram_key.push_str(ordinal);
+                let sample = Duration::from_nanos(*dur_ns);
+                observe(&mut self.histograms, &self.histogram_key, sample);
+            }
+            EventKind::DevProtect { .. } => self.counter_add("dev.protect", 1),
+            EventKind::DevRelease { count } => self.counter_add("dev.release", *count),
+            EventKind::Zeroize { len, .. } => self.counter_add("mem.zeroize_bytes", *len),
+            EventKind::OsSuspend => self.counter_add("os.suspend", 1),
+            EventKind::OsResume => self.counter_add("os.resume", 1),
+            _ => {}
+        }
+    }
+
+    fn counter_add(&mut self, name: &'static str, delta: u64) {
+        let c = self.counters.entry(name).or_insert(0);
+        *c = c.saturating_add(delta);
+    }
+}
+
+/// Adds a sample to the named histogram, allocating only for a new one.
+fn observe(histograms: &mut BTreeMap<String, DurationHistogram>, name: &str, sample: Duration) {
+    match histograms.get_mut(name) {
+        Some(h) => h.observe(sample),
+        None => {
+            let mut h = DurationHistogram::default();
+            h.observe(sample);
+            histograms.insert(name.to_string(), h);
+        }
     }
 }
 
@@ -168,68 +240,16 @@ impl Trace {
         Trace::default()
     }
 
-    /// Opens a span at virtual time `now`, nested under the innermost open
-    /// span (if any).
-    pub fn span_start(&self, name: &'static str, now: Duration) -> SpanId {
-        let mut inner = self.lock();
-        let parent = inner.open.last().copied();
-        let depth = inner.open.len();
-        let id = SpanId(inner.spans.len());
-        let ctx = inner.current_ctx;
-        inner.spans.push(Span {
-            name,
-            start: now,
-            duration: None,
-            depth,
-            parent,
-            ctx,
-        });
-        inner.open.push(id);
-        id
-    }
-
-    /// Closes `id` at virtual time `now`. Any spans opened after `id` that
-    /// are still open are closed with it (a span cannot outlive its parent).
-    /// Closing an already-closed span is a no-op.
-    pub fn span_end(&self, id: SpanId, now: Duration) {
-        let mut inner = self.lock();
-        let Some(pos) = inner.open.iter().position(|&o| o == id) else {
-            return;
-        };
-        for open_id in inner.open.split_off(pos) {
-            let span = &mut inner.spans[open_id.0];
-            span.duration = Some(now.saturating_sub(span.start));
-        }
-    }
-
-    /// Records a fully-formed span in one call (used when start and end are
-    /// both known, e.g. when converting a stopwatch measurement).
-    pub fn span_closed(&self, name: &'static str, start: Duration, duration: Duration) {
-        let mut inner = self.lock();
-        let parent = inner.open.last().copied();
-        let depth = inner.open.len();
-        let ctx = inner.current_ctx;
-        inner.spans.push(Span {
-            name,
-            start,
-            duration: Some(duration),
-            depth,
-            parent,
-            ctx,
-        });
-    }
-
-    /// Adds to a named counter, saturating at `u64::MAX`.
+    /// Adds to a named counter, saturating at `u64::MAX`. For counts no
+    /// event carries: a counter an event mirrors is folded from it.
     pub fn counter_add(&self, name: &'static str, delta: u64) {
-        let mut inner = self.lock();
-        let c = inner.counters.entry(name).or_insert(0);
-        *c = c.saturating_add(delta);
+        self.lock().counter_add(name, delta);
     }
 
-    /// Records a duration sample into the named histogram.
+    /// Records a duration sample into the named histogram. For durations
+    /// no event carries: `tpm.<ordinal>` is folded from `TpmCommand`.
     pub fn observe(&self, name: &'static str, sample: Duration) {
-        let mut inner = self.lock();
-        inner.histograms.entry(name).or_default().observe(sample);
+        observe(&mut self.lock().histograms, name, sample);
     }
 
     /// Snapshot of all spans in creation order.
@@ -250,13 +270,14 @@ impl Trace {
     }
 
     /// Records a flight-recorder event at virtual time `at`, stamped with
-    /// the current request context (if one is in force). When the ring
-    /// buffer is full the oldest event is evicted and
-    /// [`DROPPED_EVENTS_COUNTER`] is incremented.
+    /// the current request context (if one is in force), and folds it into
+    /// the views (see the crate docs). When the ring buffer is full the
+    /// oldest event is evicted and [`DROPPED_EVENTS_COUNTER`] is
+    /// incremented.
     pub fn event(&self, at: Duration, kind: EventKind) {
         let mut inner = self.lock();
         let ctx = inner.current_ctx;
-        inner.push_event(Event { at, kind, ctx });
+        inner.record(Event { at, kind, ctx });
     }
 
     /// Sets (or with `None`, clears) the request context stamped onto every
@@ -288,9 +309,9 @@ impl Trace {
             return;
         }
         let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        inner.push_event(Event {
+        inner.record(Event {
             at,
-            kind: EventKind::Charge { op: op.into(), ns },
+            kind: EventKind::Charge { op, ns },
             ctx: Some(ctx),
         });
     }
@@ -349,11 +370,11 @@ impl Trace {
     }
 
     /// All histograms, sorted by name.
-    pub fn histograms(&self) -> Vec<(&'static str, DurationHistogram)> {
+    pub fn histograms(&self) -> Vec<(String, DurationHistogram)> {
         self.lock()
             .histograms
             .iter()
-            .map(|(&k, v)| (k, v.clone()))
+            .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
     }
 
@@ -409,13 +430,21 @@ mod tests {
         assert_eq!(slots(&t), reserved, "reset reserves the configured ring");
     }
 
+    fn open(t: &Trace, name: &'static str, at: u64) {
+        t.event(us(at), EventKind::PhaseStart { name });
+    }
+
+    fn close(t: &Trace, name: &'static str, at: u64) {
+        t.event(us(at), EventKind::PhaseEnd { name });
+    }
+
     #[test]
-    fn span_nesting_tracks_depth_and_parent() {
+    fn phase_events_fold_into_nested_spans() {
         let t = Trace::new();
-        let outer = t.span_start("outer", us(0));
-        let inner = t.span_start("inner", us(10));
-        t.span_end(inner, us(25));
-        t.span_end(outer, us(40));
+        open(&t, "outer", 0);
+        open(&t, "inner", 10);
+        close(&t, "inner", 25);
+        close(&t, "outer", 40);
 
         let spans = t.spans();
         assert_eq!(spans.len(), 2);
@@ -425,37 +454,52 @@ mod tests {
         assert_eq!(spans[0].duration, Some(us(40)));
         assert_eq!(spans[1].name, "inner");
         assert_eq!(spans[1].depth, 1);
-        assert_eq!(spans[1].parent, Some(outer));
+        assert_eq!(spans[1].parent, Some(0));
         assert_eq!(spans[1].duration, Some(us(15)));
     }
 
     #[test]
     fn closing_parent_closes_dangling_children() {
         let t = Trace::new();
-        let outer = t.span_start("outer", us(0));
-        let _inner = t.span_start("inner", us(5));
-        t.span_end(outer, us(20));
+        open(&t, "outer", 0);
+        open(&t, "inner", 5);
+        close(&t, "outer", 20);
         let spans = t.spans();
         assert_eq!(spans[1].duration, Some(us(15)), "child closed with parent");
         assert_eq!(spans[0].duration, Some(us(20)));
     }
 
     #[test]
-    fn double_close_is_noop() {
+    fn phase_end_closes_the_innermost_span_of_its_name() {
         let t = Trace::new();
-        let s = t.span_start("s", us(0));
-        t.span_end(s, us(10));
-        t.span_end(s, us(99));
+        open(&t, "a", 0);
+        open(&t, "a", 3);
+        close(&t, "a", 7);
+        let spans = t.spans();
+        assert_eq!(spans[1].duration, Some(us(4)));
+        assert_eq!(spans[0].duration, None, "the outer one stays open");
+        close(&t, "a", 9);
+        assert_eq!(t.spans()[0].duration, Some(us(9)));
+    }
+
+    #[test]
+    fn phase_end_without_an_open_span_is_a_noop() {
+        let t = Trace::new();
+        open(&t, "s", 0);
+        close(&t, "s", 10);
+        close(&t, "s", 99);
+        close(&t, "never_opened", 99);
+        assert_eq!(t.spans().len(), 1);
         assert_eq!(t.spans()[0].duration, Some(us(10)));
     }
 
     #[test]
     fn sibling_spans_share_depth() {
         let t = Trace::new();
-        let a = t.span_start("a", us(0));
-        t.span_end(a, us(1));
-        let b = t.span_start("b", us(1));
-        t.span_end(b, us(2));
+        open(&t, "a", 0);
+        close(&t, "a", 1);
+        open(&t, "b", 1);
+        close(&t, "b", 2);
         let spans = t.spans();
         assert_eq!(spans[0].depth, 0);
         assert_eq!(spans[1].depth, 0);
@@ -463,15 +507,58 @@ mod tests {
     }
 
     #[test]
-    fn span_closed_records_under_open_parent() {
+    fn mirrored_events_fold_into_histograms_and_counters() {
         let t = Trace::new();
-        let outer = t.span_start("outer", us(0));
-        t.span_closed("leaf", us(3), us(4));
-        t.span_end(outer, us(10));
-        let spans = t.spans();
-        assert_eq!(spans[1].parent, Some(outer));
-        assert_eq!(spans[1].depth, 1);
-        assert_eq!(spans[1].duration, Some(us(4)));
+        for dur_ns in [1_000, 3_000] {
+            t.event(
+                us(1),
+                EventKind::TpmCommand {
+                    ordinal: "TPM_Seal".into(),
+                    locality: 0,
+                    dur_ns,
+                },
+            );
+        }
+        t.event(us(2), EventKind::DevProtect { base: 0, len: 64 });
+        t.event(us(3), EventKind::DevRelease { count: 2 });
+        t.event(us(4), EventKind::Zeroize { base: 0, len: 4096 });
+        t.event(us(5), EventKind::OsSuspend);
+        t.event(us(6), EventKind::OsResume);
+        t.event(us(7), EventKind::OsResume);
+
+        let seal = t.histogram("tpm.TPM_Seal").expect("folded histogram");
+        assert_eq!((seal.count(), seal.sum()), (2, us(4)));
+        assert_eq!(
+            t.counters(),
+            vec![
+                ("dev.protect", 1),
+                ("dev.release", 2),
+                ("mem.zeroize_bytes", 4096),
+                ("os.resume", 2),
+                ("os.suspend", 1),
+            ]
+        );
+    }
+
+    #[test]
+    fn folded_views_survive_eviction() {
+        let t = Trace::new();
+        t.set_event_capacity(1);
+        open(&t, "s", 0);
+        t.event(
+            us(1),
+            EventKind::TpmCommand {
+                ordinal: "TPM_Quote".into(),
+                locality: 0,
+                dur_ns: 500,
+            },
+        );
+        t.event(us(2), EventKind::OsSuspend);
+        close(&t, "s", 3);
+        assert_eq!(t.dropped_events(), 3);
+        assert_eq!(t.spans()[0].duration, Some(us(3)));
+        assert_eq!(t.histogram("tpm.TPM_Quote").map(|h| h.count()), Some(1));
+        assert_eq!(t.counter("os.suspend"), 1);
     }
 
     #[test]
@@ -501,8 +588,8 @@ mod tests {
         let b = a.clone();
         b.counter_add("shared", 2);
         assert_eq!(a.counter("shared"), 2);
-        let s = a.span_start("s", us(0));
-        b.span_end(s, us(7));
+        open(&a, "s", 0);
+        close(&b, "s", 7);
         assert_eq!(a.spans()[0].duration, Some(us(7)));
     }
 
@@ -510,7 +597,7 @@ mod tests {
     fn reset_clears_everything() {
         let t = Trace::new();
         t.counter_add("c", 1);
-        t.span_start("s", us(0));
+        open(&t, "s", 0);
         t.observe("h", us(1));
         t.event(us(2), EventKind::OsSuspend);
         t.reset();
@@ -523,10 +610,10 @@ mod tests {
     #[test]
     fn spans_named_returns_only_completed_spans() {
         let t = Trace::new();
-        let done = t.span_start("phase.suspend", us(0));
-        t.span_end(done, us(5));
-        let _still_open = t.span_start("phase.suspend", us(6));
-        let named = t.spans_named("phase.suspend");
+        open(&t, phases::SUSPEND, 0);
+        close(&t, phases::SUSPEND, 5);
+        open(&t, phases::SUSPEND, 6);
+        let named = t.spans_named(phases::SUSPEND);
         assert_eq!(named.len(), 1, "open span must not be returned");
         assert_eq!(named[0].duration, Some(us(5)));
         assert_eq!(t.spans().len(), 2, "raw view still shows both");
@@ -579,15 +666,15 @@ mod tests {
         };
         t.set_request_ctx(Some(ctx));
         t.event(us(2), EventKind::OsResume);
-        let s = t.span_start("phase.skinit", us(3));
-        t.span_end(s, us(4));
+        open(&t, phases::SKINIT, 3);
+        close(&t, phases::SKINIT, 4);
         t.set_request_ctx(None);
         t.event(us(5), EventKind::Reboot);
 
         let events = t.events();
         assert_eq!(events[0].ctx, None);
         assert_eq!(events[1].ctx, Some(ctx));
-        assert_eq!(events[2].ctx, None);
+        assert_eq!(events[4].ctx, None);
         assert_eq!(t.spans()[0].ctx, Some(ctx));
     }
 
@@ -608,7 +695,7 @@ mod tests {
         assert_eq!(
             events[0].kind,
             EventKind::Charge {
-                op: "tpm".into(),
+                op: "tpm",
                 ns: 4_000,
             }
         );

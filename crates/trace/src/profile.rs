@@ -21,8 +21,7 @@
 //! flamegraph renderer reads: one `frame;frame;frame weight` line per
 //! stack, weights in virtual nanoseconds.
 
-use crate::event::escape;
-use crate::{EventKind, Trace};
+use crate::{escape_json, EventKind, Trace};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -102,7 +101,7 @@ pub fn build(trace: &Trace) -> Profile {
     let mut paths: Vec<Vec<String>> = Vec::with_capacity(spans.len());
     for s in &spans {
         let mut path = match s.parent {
-            Some(p) => paths[p.0].clone(),
+            Some(p) => paths[p].clone(),
             None => {
                 if in_window(s.start) {
                     vec![SESSION_ROOT.to_string()]
@@ -314,7 +313,7 @@ fn collect_folded(path: &str, node: &ProfileNode, out: &mut BTreeMap<String, u64
 
 fn chrome_node(name: &str, node: &ProfileNode, start_ns: u64, entries: &mut Vec<String>) {
     let mut escaped = String::new();
-    escape(name, &mut escaped);
+    escape_json(name, &mut escaped);
     entries.push(format!(
         "{{\"ph\":\"X\",\"name\":\"{escaped}\",\"cat\":\"profile\",\"pid\":1,\"tid\":1,\
          \"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"count\":{},\"self_ns\":{}}}}}",
@@ -403,12 +402,13 @@ pub fn diff_folded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phases;
 
     fn session_trace() -> Trace {
         let t = Trace::new();
         let ms = Duration::from_millis;
         t.event(ms(0), EventKind::SessionStart { id: 1 });
-        let pal = t.span_start("phase.pal", ms(10));
+        t.event(ms(10), EventKind::PhaseStart { name: phases::PAL });
         t.event(
             ms(30),
             EventKind::TpmCommand {
@@ -417,9 +417,10 @@ mod tests {
                 dur_ns: 15_000_000,
             },
         );
-        t.span_end(pal, ms(50));
-        let cleanup = t.span_start("phase.cleanup", ms(50));
-        t.span_end(cleanup, ms(60));
+        t.event(ms(50), EventKind::PhaseEnd { name: phases::PAL });
+        let cleanup = phases::CLEANUP;
+        t.event(ms(50), EventKind::PhaseStart { name: cleanup });
+        t.event(ms(60), EventKind::PhaseEnd { name: cleanup });
         t.event(ms(70), EventKind::SessionEnd { id: 1 });
         t
     }
@@ -483,7 +484,7 @@ mod tests {
     #[test]
     fn overflow_is_detected_not_hidden() {
         let t = Trace::new();
-        let span = t.span_start("phase.pal", Duration::ZERO);
+        t.event(Duration::ZERO, EventKind::PhaseStart { name: phases::PAL });
         // An event claiming more time than its enclosing span has.
         t.event(
             Duration::from_millis(1),
@@ -493,7 +494,10 @@ mod tests {
                 dur_ns: 5_000_000,
             },
         );
-        t.span_end(span, Duration::from_millis(2));
+        t.event(
+            Duration::from_millis(2),
+            EventKind::PhaseEnd { name: phases::PAL },
+        );
         let p = build(&t);
         assert_eq!(p.overflow_ns, 3_000_000);
         assert!(p.reconciliation_error() > 0.01);

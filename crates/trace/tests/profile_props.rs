@@ -16,7 +16,7 @@ use std::time::Duration;
 const SPAN_NAMES: [&str; 4] = ["phase.alpha", "phase.beta", "phase.gamma", "phase.delta"];
 const ORDINALS: [&str; 4] = ["TPM_Seal", "TPM_Unseal", "TPM_Quote", "TPM_Extend"];
 
-/// Replays scripted `(selector, param)` ops on a fresh trace: span
+/// Replays scripted `(selector, param)` ops on a fresh trace: phase
 /// starts/ends, session open/close events, and TPM commands stamped at
 /// completion (as the simulated chip's drained events are).
 fn build_trace(ops: &[(u8, u16)]) -> Trace {
@@ -31,11 +31,13 @@ fn build_trace(ops: &[(u8, u16)]) -> Trace {
         let now = Duration::from_nanos(now_ns);
         match selector % 16 {
             0..=5 => {
-                open_spans.push(trace.span_start(SPAN_NAMES[param as usize % 4], now));
+                let name = SPAN_NAMES[param as usize % 4];
+                trace.event(now, EventKind::PhaseStart { name });
+                open_spans.push(name);
             }
             6..=9 => {
-                if let Some(id) = open_spans.pop() {
-                    trace.span_end(id, now);
+                if let Some(name) = open_spans.pop() {
+                    trace.event(now, EventKind::PhaseEnd { name });
                 }
             }
             10 => {

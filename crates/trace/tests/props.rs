@@ -1,14 +1,14 @@
-//! Span-tree well-formedness under arbitrary API interleavings.
+//! Span-tree well-formedness under arbitrary phase-event interleavings.
 //!
-//! The recorder promises a forest invariant: parents precede children,
-//! `depth` equals the parent chain length, every `parent` id refers to an
-//! earlier span, and (on a monotone clock, which is how the simulator
-//! drives it) a child's end never exceeds its parent's. These properties
-//! must hold for *any* interleaving of `span_start` / `span_end` /
-//! `span_closed` / `reset`, including ends of already-closed spans and
-//! ends that implicitly close dangling children.
+//! The recorder folds spans from `PhaseStart` / `PhaseEnd` events and
+//! promises a forest invariant: parents precede children, `depth` equals
+//! the parent chain length, every `parent` index refers to an earlier
+//! span, and (on a monotone clock, which is how the simulator drives it) a
+//! child's end never exceeds its parent's. These properties must hold for
+//! *any* interleaving of phase events and `reset`, including ends of names
+//! with no open span and ends that implicitly close dangling children.
 
-use flicker_trace::{Span, SpanId, Trace};
+use flicker_trace::{EventKind, Span, Trace};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -17,17 +17,16 @@ const NAMES: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
 /// One scripted recorder call, decoded from a `(selector, param)` pair.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Start(usize),
-    End(usize),
-    Closed(u64),
+    Start(&'static str),
+    End(&'static str),
     Reset,
 }
 
 fn decode(selector: u8, param: u16) -> Op {
+    let name = NAMES[param as usize % NAMES.len()];
     match selector % 16 {
-        0..=7 => Op::Start(param as usize % NAMES.len()),
-        8..=13 => Op::End(param as usize),
-        14 => Op::Closed(u64::from(param) % 500 + 1),
+        0..=7 => Op::Start(name),
+        8..=14 => Op::End(name),
         _ => Op::Reset,
     }
 }
@@ -37,42 +36,30 @@ fn decode(selector: u8, param: u16) -> Op {
 fn check_interleaving(ops: &[(u8, u16)]) -> Result<(), String> {
     let trace = Trace::new();
     let mut now_ns: u64 = 0;
-    // Creation-order ledger mirroring `trace.spans()`: `Some(id)` for spans
-    // from `span_start`, `None` for `span_closed` entries (which have no id).
-    let mut ids: Vec<Option<SpanId>> = Vec::new();
+    // Spans opened since the last reset: each `PhaseStart` opens exactly one.
+    let mut opened = 0usize;
 
     for &(selector, param) in ops {
         now_ns += u64::from(param % 997) + 1;
         let now = Duration::from_nanos(now_ns);
         match decode(selector, param) {
             Op::Start(name) => {
-                let id = trace.span_start(NAMES[name], now);
-                ids.push(Some(id));
+                trace.event(now, EventKind::PhaseStart { name });
+                opened += 1;
             }
-            Op::End(pick) => {
-                let started: Vec<SpanId> = ids.iter().flatten().copied().collect();
-                if let Some(&id) = started.get(pick % started.len().max(1)) {
-                    trace.span_end(id, now);
-                }
-            }
-            Op::Closed(dur_ns) => {
-                trace.span_closed("closed", now, Duration::from_nanos(dur_ns));
-                now_ns += dur_ns;
-                ids.push(None);
-            }
+            Op::End(name) => trace.event(now, EventKind::PhaseEnd { name }),
             Op::Reset => {
                 trace.reset();
-                ids.clear();
+                opened = 0;
             }
         }
     }
 
     let spans = trace.spans();
-    if spans.len() != ids.len() {
+    if spans.len() != opened {
         return Err(format!(
-            "ledger drift: {} spans vs {} ledger entries",
-            spans.len(),
-            ids.len()
+            "ledger drift: {} spans vs {opened} phase starts",
+            spans.len()
         ));
     }
     let end_of = |s: &Span| s.duration.map(|d| s.start + d);
@@ -83,10 +70,7 @@ fn check_interleaving(ops: &[(u8, u16)]) -> Result<(), String> {
                     return Err(format!("span {i}: no parent but depth {}", span.depth));
                 }
             }
-            Some(parent_id) => {
-                let Some(j) = ids.iter().position(|&id| id == Some(parent_id)) else {
-                    return Err(format!("span {i}: dangling parent id {parent_id:?}"));
-                };
+            Some(j) => {
                 if j >= i {
                     return Err(format!("span {i}: parent at later index {j}"));
                 }

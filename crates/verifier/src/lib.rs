@@ -8,7 +8,7 @@
 //! second line of defence rather than the only one.
 //!
 //! The verifier decodes every instruction, recovers the control-flow
-//! graph ([`cfg`]), and runs an abstract interpretation (unsigned
+//! graph ([`cfg`](mod@cfg)), and runs an abstract interpretation (unsigned
 //! intervals + a secret/public lattice over the 16 registers, plus
 //! byte-granular shadow taint over the parameter window, [`domain`]) to
 //! prove six properties, each with its own module and [`CheckError`]
@@ -44,6 +44,7 @@ pub mod stack;
 pub mod termination;
 
 use flicker_palvm::{Program, CALL_STACK_MAX, INSN_LEN};
+use flicker_trace::escape_json;
 
 /// Where one check failed and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -253,33 +254,17 @@ impl Verdict {
             }
             let d = e.diagnostic();
             out.push_str(&format!(
-                "{{\"class\":\"{}\",\"insn\":{},\"register\":{},\"reason\":\"{}\"}}",
+                "{{\"class\":\"{}\",\"insn\":{},\"register\":{},\"reason\":\"",
                 e.class(),
                 d.insn,
                 d.register.map_or("null".to_string(), |r| r.to_string()),
-                json_escape(&d.reason),
             ));
+            escape_json(&d.reason, &mut out);
+            out.push_str("\"}");
         }
         out.push_str("]}");
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Verifies raw encoded bytecode against the default window.

@@ -357,13 +357,13 @@ pub struct Divergence {
 impl Divergence {
     /// One JSONL line for the flight recorder.
     pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"seed\":{},\"code\":\"{}\",\"fault\":\"{}\",\"verdict\":{}}}",
-            self.seed,
-            self.code_hex,
-            crate::json_escape(&self.fault),
-            self.verdict_json,
-        )
+        let mut line = format!(
+            "{{\"seed\":{},\"code\":\"{}\",\"fault\":\"",
+            self.seed, self.code_hex
+        );
+        flicker_trace::escape_json(&self.fault, &mut line);
+        line.push_str(&format!("\",\"verdict\":{}}}", self.verdict_json));
+        line
     }
 }
 

@@ -5,6 +5,9 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc gate: every intra-doc link resolves, none is ambiguous, and no
+# public doc links a private item (so a link to a deleted API fails here).
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release
 # The workspace tests are also the paper-table gate: crates/bench/tests/
 # golden.rs runs every §7 experiment in-process and fails on any byte that
