@@ -3,12 +3,12 @@
 //! conservation invariant (no request lost, none duplicated).
 //!
 //! ```text
-//! farm_bench [--quick] [--machines N] [--requests N] [--trajectory PATH]
-//!            [--flight-dir DIR]
+//! farm_bench [--quick] [--trajectory PATH] [--flight-dir DIR]
 //! ```
 //!
 //! Full mode runs 8 machines against a 200-schedule fault sweep (the same
-//! `FaultPlan::seeded` schedules the fault-sweep harness uses). The run
+//! `FaultPlan::seeded` schedules the fault-sweep harness uses); `--quick`
+//! runs 2 machines against 15. The run
 //! FAILS — non-zero exit — if any request is lost or duplicated, if any
 //! attempt bound is exceeded, if any machine's flight record violates a
 //! paper invariant or was truncated, if latency attribution covers less
@@ -18,8 +18,7 @@
 //! farm drift across commits stays diffable. `--flight-dir` additionally
 //! persists the full flight record (coordinator + per-machine streams +
 //! request outcomes) for offline analysis with
-//! `flicker_trace_tool attribute --from DIR`, plus per-request dumps for
-//! every latency outlier the SLO monitor flags.
+//! `flicker_trace_tool attribute --from DIR`.
 
 use flicker_bench::farmattr::{self, FarmFlight};
 use flicker_bench::json::Value;
@@ -32,8 +31,6 @@ use std::time::Duration;
 
 fn main() -> ExitCode {
     let mut quick = false;
-    let mut machines: Option<usize> = None;
-    let mut requests: Option<u64> = None;
     let mut trajectory = String::from("BENCH_trajectory.jsonl");
     let mut flight_dir: Option<PathBuf> = None;
 
@@ -41,14 +38,6 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--machines" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => machines = Some(n),
-                None => return usage("--machines needs a count"),
-            },
-            "--requests" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => requests = Some(n),
-                None => return usage("--requests needs a count"),
-            },
             "--trajectory" => match args.next() {
                 Some(path) => trajectory = path,
                 None => return usage("--trajectory needs a path"),
@@ -61,8 +50,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let machines = machines.unwrap_or(if quick { 2 } else { 8 });
-    let requests = requests.unwrap_or(if quick { 15 } else { 200 });
+    let (machines, requests) = if quick { (2, 15u64) } else { (8, 200) };
     let config = FarmConfig {
         machines,
         queue_bound: requests as usize, // size the queue for the sweep
@@ -169,13 +157,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!("wrote flight record to {}", dir.display());
-        if !slo.outliers.is_empty() {
-            if let Err(e) = flight.dump_outliers(dir, &slo.outliers) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("dumped {} outlier flight record(s)", slo.outliers.len());
-        }
     }
     let failures = farmattr::gate(&flight, &attr, &slo);
     if !failures.is_empty() {
@@ -207,10 +188,7 @@ fn main() -> ExitCode {
 /// error apart from a failed gate's 1.
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}");
-    eprintln!(
-        "usage: farm_bench [--quick] [--machines N] [--requests N] \
-         [--trajectory PATH] [--flight-dir DIR]"
-    );
+    eprintln!("usage: farm_bench [--quick] [--trajectory PATH] [--flight-dir DIR]");
     ExitCode::from(2)
 }
 

@@ -5,10 +5,11 @@
 //! leaked suspend state, secret residue, permanently unreadable sealed
 //! storage, or a flight-recorder audit failure — is reported and makes
 //! the process exit non-zero. Violating schedules dump their full flight
-//! record as JSONL (replayable with `flicker_trace_tool audit --jsonl`).
+//! record as JSONL under `target/` (replayable with
+//! `flicker_trace_tool audit --jsonl`).
 //!
-//! Usage: `fault_sweep [--seed N] [--schedules N] [--quick] [--dump-dir DIR]`;
-//! an argument error prints that line and exits 2.
+//! Usage: `fault_sweep [--seed N] [--schedules N] [--quick]`; an argument
+//! error prints that line and exits 2.
 
 use flicker_bench::faultsweep::{run_sweep, Outcome, APPS};
 use flicker_bench::render_table;
@@ -24,7 +25,6 @@ fn main() -> ExitCode {
     let mut base_seed = 0u64;
     let mut schedules = 200u64;
     let mut quick = false;
-    let mut dump_dir = String::from("target");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -37,10 +37,6 @@ fn main() -> ExitCode {
                 None => return usage("--schedules needs a count"),
             },
             "--quick" => quick = true,
-            "--dump-dir" => match args.next() {
-                Some(dir) => dump_dir = dir,
-                None => return usage("--dump-dir needs a directory"),
-            },
             other => return usage(&format!("unknown argument {other:?}")),
         }
     }
@@ -88,7 +84,7 @@ fn main() -> ExitCode {
     for r in report.violating() {
         if let Outcome::Violation(why) = &r.outcome {
             eprintln!("VIOLATION seed={} app={}: {why}", r.seed, r.app);
-            match dump_flight_record(&dump_dir, r.seed, r.app, &r.flight_record) {
+            match dump_flight_record(r.seed, r.app, &r.flight_record) {
                 Ok(path) => eprintln!("  flight record: {path}"),
                 Err(e) => eprintln!("  flight record dump failed: {e}"),
             }
@@ -110,20 +106,19 @@ fn main() -> ExitCode {
 /// error apart from a violation's 1.
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}");
-    eprintln!("usage: fault_sweep [--seed N] [--schedules N] [--quick] [--dump-dir DIR]");
+    eprintln!("usage: fault_sweep [--seed N] [--schedules N] [--quick]");
     ExitCode::from(2)
 }
 
 /// Writes one violating schedule's events to
-/// `<dir>/flight_record_seed<seed>_<app>.jsonl` and returns the path.
+/// `target/flight_record_seed<seed>_<app>.jsonl` and returns the path.
 fn dump_flight_record(
-    dir: &str,
     seed: u64,
     app: &str,
     events: &[flicker_trace::Event],
 ) -> Result<String, String> {
-    std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    let path = Path::new(dir).join(format!("flight_record_seed{seed}_{app}.jsonl"));
+    std::fs::create_dir_all("target").map_err(|e| e.to_string())?;
+    let path = Path::new("target").join(format!("flight_record_seed{seed}_{app}.jsonl"));
     let mut f = std::fs::File::create(&path).map_err(|e| e.to_string())?;
     for e in events {
         writeln!(f, "{}", e.to_jsonl()).map_err(|e| e.to_string())?;

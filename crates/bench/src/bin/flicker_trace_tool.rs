@@ -1,40 +1,34 @@
-//! Flight-recorder trace tool: export, summarise, audit, and analyse a
-//! full §6 application run's event stream.
+//! Flight-recorder trace tool: export and profile the perf-baseline
+//! flight, audit a saved flight, and re-run the farm attribution gate on
+//! a saved farm flight.
 //!
 //! ```text
 //! flicker_trace_tool export [--quick] [--format chrome|jsonl|prom]
 //!                           [--out PATH] [--verify]
-//! flicker_trace_tool summary [--quick]
-//! flicker_trace_tool audit [--quick | --jsonl PATH]
-//! flicker_trace_tool critical-path [--quick]
-//! flicker_trace_tool attribute [--quick | --from DIR]
-//! flicker_trace_tool farm-timeline [--quick | --from DIR] [--limit N]
+//! flicker_trace_tool audit --jsonl PATH
+//! flicker_trace_tool attribute --from DIR
 //! flicker_trace_tool flamegraph [--quick] [--format folded|chrome]
-//!                               [--out PATH] [--diff PATH]
+//!                               [--out PATH]
 //! ```
 //!
-//! `export`, `summary`, `audit` (without `--jsonl`), and `critical-path`
-//! run the perf-baseline workload (all five applications) under one
-//! shared trace and operate on that flight record; `audit` exits non-zero
-//! if the stream breaks any of the paper's Figure-2/§4 invariants *or*
-//! was truncated by ring-buffer evictions (an incomplete stream proves
-//! nothing). `attribute` and `farm-timeline` operate on a *farm* flight —
-//! either a fresh quick/full farm run, or a flight directory previously
-//! written by `farm_bench --flight-dir` — and respectively break each
-//! request's latency into named categories (gated at ≥ 99% coverage, SLO
-//! enforced) and render all machines' virtual clocks merged onto the
-//! coordinator's wall-time axis through anchor events.
+//! `export` and `flamegraph` record the perf-baseline workload (all five
+//! applications) under one shared trace and render that flight; without
+//! `--quick` they record the full-size flight of the committed perf
+//! report. `audit` replays a JSONL flight (from `export --format jsonl`
+//! or a fault-sweep violation dump) through the parser and the
+//! Figure-2/§4 invariant auditor, and exits non-zero on any violation.
+//! `attribute` reads a flight directory written by
+//! `farm_bench --flight-dir`, breaks each request's latency into named
+//! categories and exits non-zero unless every request is ≥ 99% covered,
+//! every SLO holds and no stream was truncated.
 
 use flicker_bench::baseline::{run_baseline_traced, BaselineConfig};
 use flicker_bench::farmattr::{self, FarmFlight};
-use flicker_bench::{json, render_table};
-use flicker_farm::{Farm, FarmConfig, RequestSpec};
+use flicker_bench::json;
 use flicker_trace::profile as trace_profile;
-use flicker_trace::{audit, export, phases, DurationHistogram, Trace, DROPPED_EVENTS_COUNTER};
-use std::collections::BTreeMap;
+use flicker_trace::{audit, export, Trace};
 use std::path::Path;
 use std::process::ExitCode;
-use std::time::Duration;
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,11 +38,8 @@ fn main() -> ExitCode {
     let cmd = args.remove(0);
     match cmd.as_str() {
         "export" => cmd_export(&args),
-        "summary" => cmd_summary(&args),
         "audit" => cmd_audit(&args),
-        "critical-path" => cmd_critical_path(&args),
         "attribute" => cmd_attribute(&args),
-        "farm-timeline" => cmd_farm_timeline(&args),
         "flamegraph" => cmd_flamegraph(&args),
         other => usage(&format!("unknown subcommand {other:?}")),
     }
@@ -62,24 +53,12 @@ fn usage(err: &str) -> ExitCode {
         "usage: flicker_trace_tool <subcommand> [options]\n\
          \n\
          subcommands:\n\
-         \x20 export        [--quick] [--format chrome|jsonl|prom] [--out PATH] [--verify]\n\
-         \x20 summary       [--quick]\n\
-         \x20 audit         [--quick | --jsonl PATH]\n\
-         \x20 critical-path [--quick]\n\
-         \x20 attribute     [--quick | --from DIR]\n\
-         \x20 farm-timeline [--quick | --from DIR] [--limit N]\n\
-         \x20 flamegraph    [--quick] [--format folded|chrome] [--out PATH]\n\
-         \x20               [--diff PATH]"
+         \x20 export     [--quick] [--format chrome|jsonl|prom] [--out PATH] [--verify]\n\
+         \x20 audit      --jsonl PATH\n\
+         \x20 attribute  --from DIR\n\
+         \x20 flamegraph [--quick] [--format folded|chrome] [--out PATH]"
     );
     ExitCode::from(2)
-}
-
-fn config(quick: bool) -> BaselineConfig {
-    if quick {
-        BaselineConfig::quick()
-    } else {
-        BaselineConfig::full()
-    }
 }
 
 fn record_flight(quick: bool) -> Trace {
@@ -87,7 +66,12 @@ fn record_flight(quick: bool) -> Trace {
         "recording flight: all five applications{}",
         if quick { " (quick)" } else { "" }
     );
-    run_baseline_traced(&config(quick)).1
+    let config = if quick {
+        BaselineConfig::quick()
+    } else {
+        BaselineConfig::full()
+    };
+    run_baseline_traced(&config).1
 }
 
 // ----- export ---------------------------------------------------------------
@@ -113,13 +97,14 @@ fn cmd_export(args: &[String]) -> ExitCode {
             other => return usage(&format!("unknown export argument {other:?}")),
         }
     }
-    let trace = record_flight(quick);
-    let text = match format.as_str() {
-        "chrome" => export::chrome_trace_json(&trace),
-        "jsonl" => export::events_jsonl(&trace),
-        "prom" => export::prometheus_text(&trace),
+    let render: fn(&Trace) -> String = match format.as_str() {
+        "chrome" => export::chrome_trace_json,
+        "jsonl" => export::events_jsonl,
+        "prom" => export::prometheus_text,
         other => return usage(&format!("unknown format {other:?}")),
     };
+    let trace = record_flight(quick);
+    let text = render(&trace);
     if verify {
         if let Err(e) = verify_export(&format, &text, &trace) {
             eprintln!("export self-check failed: {e}");
@@ -127,9 +112,14 @@ fn cmd_export(args: &[String]) -> ExitCode {
         }
         eprintln!("export self-check passed ({format})");
     }
+    write_out(out, &text)
+}
+
+/// Writes `text` to the `--out` path, or to stdout without one.
+fn write_out(out: Option<String>, text: &str) -> ExitCode {
     match out {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, &text) {
+            if let Err(e) = std::fs::write(&path, text) {
                 eprintln!("writing {path}: {e}");
                 return ExitCode::FAILURE;
             }
@@ -176,164 +166,55 @@ fn verify_export(format: &str, text: &str, trace: &Trace) -> Result<(), String> 
     }
 }
 
-// ----- summary --------------------------------------------------------------
-
-fn cmd_summary(args: &[String]) -> ExitCode {
-    let mut quick = false;
-    for arg in args {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            other => return usage(&format!("unknown summary argument {other:?}")),
-        }
-    }
-    let trace = record_flight(quick);
-    let events = trace.events();
-    let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for e in &events {
-        *by_kind.entry(e.kind.name()).or_insert(0) += 1;
-    }
-    let rows: Vec<Vec<String>> = by_kind
-        .iter()
-        .map(|(kind, n)| vec![kind.to_string(), n.to_string()])
-        .collect();
-    let table = render_table("Flight-recorder events by kind", &["kind", "count"], &rows);
-    print!("{table}");
-    let sessions = trace.spans_named(phases::SUSPEND).len();
-    println!("\nsessions:       {sessions}");
-    println!("events kept:    {}", events.len());
-    println!(
-        "events dropped: {} (ring-buffer evictions, `{DROPPED_EVENTS_COUNTER}`)",
-        trace.counter(DROPPED_EVENTS_COUNTER)
-    );
-    ExitCode::SUCCESS
-}
-
 // ----- audit ----------------------------------------------------------------
 
+/// Replays a saved JSONL flight through the parser and the auditor. The
+/// file is taken at face value: its writer refuses to export a truncated
+/// stream.
 fn cmd_audit(args: &[String]) -> ExitCode {
-    let mut quick = false;
-    let mut jsonl: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--jsonl" => match it.next() {
-                Some(p) => jsonl = Some(p.clone()),
-                None => return usage("--jsonl needs a path"),
-            },
-            other => return usage(&format!("unknown audit argument {other:?}")),
-        }
-    }
-    // A live trace knows how many events its ring buffer evicted; a JSONL
-    // file is taken at face value (its writer is responsible for refusing
-    // to export a truncated stream).
-    let (events, dropped) = match jsonl {
-        Some(path) => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("reading {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match export::parse_events_jsonl(&text) {
-                Ok(events) => (events, 0),
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => {
-            let trace = record_flight(quick);
-            (trace.events(), trace.dropped_events())
+    let path = match args {
+        [flag, path] if flag == "--jsonl" => path,
+        _ => return usage("audit takes --jsonl PATH"),
+    };
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("reading {path}: {e}");
+            return ExitCode::FAILURE;
         }
     };
-    let verdict = audit::audit_events_with_drops(&events, dropped);
-    if verdict.is_clean() {
+    let events = match export::parse_events_jsonl(&text) {
+        Ok(events) => events,
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let violations = audit::audit_events(&events);
+    if violations.is_empty() {
         println!(
             "audit clean: {} events satisfy every Figure-2/§4 invariant",
             events.len()
         );
         return ExitCode::SUCCESS;
     }
-    for v in verdict.violations() {
+    for v in &violations {
         eprintln!("VIOLATION {v}");
     }
-    if verdict.dropped_events() > 0 {
-        eprintln!(
-            "stream truncated: {} event(s) evicted before the audit — the \
-             verdict is inconclusive at best",
-            verdict.dropped_events()
-        );
-    }
-    eprintln!("audit verdict: {verdict}");
+    eprintln!("audit verdict: {} violation(s)", violations.len());
     ExitCode::FAILURE
 }
 
-// ----- attribute / farm-timeline --------------------------------------------
+// ----- attribute ------------------------------------------------------------
 
-/// Obtains a farm flight: from a directory written by
-/// `farm_bench --flight-dir`, or by driving a fresh farm run (2 machines
-/// × 15 seeded schedules quick, 8 × 200 full — farm_bench's sizes).
-fn farm_flight(quick: bool, from: Option<&str>) -> Result<FarmFlight, String> {
-    if let Some(dir) = from {
-        return FarmFlight::read(Path::new(dir));
-    }
-    let (machines, requests) = if quick { (2, 15u64) } else { (8, 200) };
-    eprintln!("driving farm: {machines} machines, {requests} seeded fault schedules");
-    let farm = Farm::start(FarmConfig {
-        machines,
-        queue_bound: requests as usize,
-        ..FarmConfig::default()
-    });
-    for seed in 0..requests {
-        farm.submit(RequestSpec::seeded(seed));
-    }
-    let report = farm.shutdown();
-    report.verify_conservation()?;
-    let findings = report.audit_shards();
-    if !findings.is_empty() {
-        return Err(format!("shard audit failed: {findings:?}"));
-    }
-    Ok(FarmFlight::from_report(&report))
-}
-
-/// Handler for subcommand-specific flags in [`flight_args`]: receives the
-/// unrecognised argument plus the iterator (to consume a value).
-type ExtraArg<'a, 'b> =
-    &'b mut dyn FnMut(&str, &mut std::slice::Iter<'a, String>) -> Result<(), String>;
-
-/// Parses the shared `[--quick | --from DIR]` argument pair.
-fn flight_args<'a>(
-    args: &'a [String],
-    extra: ExtraArg<'a, '_>,
-) -> Result<(bool, Option<&'a str>), String> {
-    let mut quick = false;
-    let mut from = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--from" => match it.next() {
-                Some(dir) => from = Some(dir.as_str()),
-                None => return Err("--from needs a directory".into()),
-            },
-            other => extra(other, &mut it)?,
-        }
-    }
-    Ok((quick, from))
-}
-
+/// Re-runs the farm attribution and SLO gates on a flight directory that
+/// `farm_bench --flight-dir` wrote.
 fn cmd_attribute(args: &[String]) -> ExitCode {
-    let parsed = flight_args(args, &mut |arg, _| {
-        Err(format!("unknown attribute argument {arg:?}"))
-    });
-    let (quick, from) = match parsed {
-        Ok(v) => v,
-        Err(e) => return usage(&e),
+    let dir = match args {
+        [flag, dir] if flag == "--from" => dir,
+        _ => return usage("attribute takes --from DIR"),
     };
-    let flight = match farm_flight(quick, from) {
+    let flight = match FarmFlight::read(Path::new(dir)) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("{e}");
@@ -355,106 +236,6 @@ fn cmd_attribute(args: &[String]) -> ExitCode {
          streams complete",
         farmattr::MIN_COVERAGE * 100.0
     );
-    ExitCode::SUCCESS
-}
-
-fn cmd_farm_timeline(args: &[String]) -> ExitCode {
-    let mut limit = 200usize;
-    let parsed = flight_args(args, &mut |arg, it| match arg {
-        "--limit" => match it.next().and_then(|v| v.parse().ok()) {
-            Some(n) => {
-                limit = n;
-                Ok(())
-            }
-            None => Err("--limit needs a count".into()),
-        },
-        other => Err(format!("unknown farm-timeline argument {other:?}")),
-    });
-    let (quick, from) = match parsed {
-        Ok(v) => v,
-        Err(e) => return usage(&e),
-    };
-    let flight = match farm_flight(quick, from) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", farmattr::render_timeline(&flight, limit));
-    ExitCode::SUCCESS
-}
-
-// ----- critical-path --------------------------------------------------------
-
-fn cmd_critical_path(args: &[String]) -> ExitCode {
-    let mut quick = false;
-    for arg in args {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            other => return usage(&format!("unknown critical-path argument {other:?}")),
-        }
-    }
-    let trace = record_flight(quick);
-
-    // Where session wall-time goes, by Figure-2 phase.
-    let mut phase_totals: Vec<(String, Duration, u64)> = Vec::new();
-    let mut grand_total = Duration::ZERO;
-    for name in flicker_core::PHASE_SPAN_NAMES {
-        let spans = trace.spans_named(name);
-        let total: Duration = spans.iter().filter_map(|s| s.duration).sum();
-        grand_total += total;
-        phase_totals.push((name.to_string(), total, spans.len() as u64));
-    }
-    phase_totals.sort_by_key(|t| std::cmp::Reverse(t.1));
-    let rows: Vec<Vec<String>> = phase_totals
-        .iter()
-        .map(|(name, total, n)| {
-            let share = if grand_total.is_zero() {
-                0.0
-            } else {
-                total.as_secs_f64() / grand_total.as_secs_f64() * 100.0
-            };
-            vec![
-                name.clone(),
-                n.to_string(),
-                format!("{:.1}", total.as_secs_f64() * 1e3),
-                format!("{share:.1}%"),
-            ]
-        })
-        .collect();
-    let table = render_table(
-        "Critical path: session time by phase",
-        &["phase", "spans", "total_ms", "share"],
-        &rows,
-    );
-    print!("{table}");
-
-    // The TPM ordinals behind those phases, by total simulated time.
-    let mut ordinals: Vec<(String, DurationHistogram)> = trace
-        .histograms()
-        .into_iter()
-        .filter(|(name, _)| name.starts_with("tpm.TPM_"))
-        .collect();
-    ordinals.sort_by_key(|o| std::cmp::Reverse(o.1.sum()));
-    let rows: Vec<Vec<String>> = ordinals
-        .iter()
-        .take(8)
-        .map(|(name, h)| {
-            vec![
-                name.to_string(),
-                h.count().to_string(),
-                format!("{:.1}", h.sum().as_secs_f64() * 1e3),
-                format!("{:.1}", h.mean().as_secs_f64() * 1e3),
-            ]
-        })
-        .collect();
-    let table = render_table(
-        "Dominant TPM ordinals",
-        &["ordinal", "count", "total_ms", "mean_ms"],
-        &rows,
-    );
-    print!("{table}");
     ExitCode::SUCCESS
 }
 
@@ -487,7 +268,6 @@ fn cmd_flamegraph(args: &[String]) -> ExitCode {
     let mut quick = false;
     let mut format = String::from("folded");
     let mut out: Option<String> = None;
-    let mut diff: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -500,77 +280,20 @@ fn cmd_flamegraph(args: &[String]) -> ExitCode {
                 Some(p) => out = Some(p.clone()),
                 None => return usage("--out needs a path"),
             },
-            "--diff" => match it.next() {
-                Some(p) => diff = Some(p.clone()),
-                None => return usage("--diff needs a folded-stacks file"),
-            },
             other => return usage(&format!("unknown flamegraph argument {other:?}")),
         }
     }
 
-    let trace = record_flight(quick);
-    let profile = trace_profile::build(&trace);
+    let render: fn(&trace_profile::Profile) -> String = match format.as_str() {
+        "folded" => trace_profile::Profile::folded,
+        "chrome" => trace_profile::Profile::to_chrome_json,
+        other => return usage(&format!("unknown flamegraph format {other:?}")),
+    };
+    let profile = trace_profile::build(&record_flight(quick));
     if let Err(e) = reconcile(&profile) {
         eprintln!("FLAMEGRAPH GATE: {e}");
         return ExitCode::FAILURE;
     }
-
-    if let Some(path) = diff {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("reading {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let before = match trace_profile::parse_folded(&text) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let after = profile.folded_weights();
-        let deltas = trace_profile::diff_folded(&before, &after);
-        if deltas.is_empty() {
-            println!("no drift: current folded stacks are identical to {path}");
-            return ExitCode::SUCCESS;
-        }
-        let rows: Vec<Vec<String>> = deltas
-            .iter()
-            .take(20)
-            .map(|d| {
-                vec![
-                    d.path.clone(),
-                    format!("{:.1}", d.before as f64 / 1e6),
-                    format!("{:.1}", d.after as f64 / 1e6),
-                    format!("{:+.1}", d.delta() as f64 / 1e6),
-                ]
-            })
-            .collect();
-        let table = render_table(
-            &format!("Folded-stack drift vs {path} (ms)"),
-            &["stack", "before_ms", "after_ms", "delta_ms"],
-            &rows,
-        );
-        print!("{table}");
-        return ExitCode::SUCCESS;
-    }
-
-    let text = match format.as_str() {
-        "folded" => profile.folded(),
-        "chrome" => profile.to_chrome_json(),
-        other => return usage(&format!("unknown flamegraph format {other:?}")),
-    };
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &text) {
-                eprintln!("writing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {path} ({} bytes)", text.len());
-        }
-        None => print!("{text}"),
-    }
-    ExitCode::SUCCESS
+    let text = render(&profile);
+    write_out(out, &text)
 }

@@ -4,19 +4,19 @@
 //! `index.html` that charts every metric series across commits.
 //!
 //! ```text
-//! trajectory_dashboard [--trajectory PATH] [--out-dir DIR] [--include-quick]
-//! trajectory_dashboard --check-drift [--trajectory PATH] [--include-quick]
+//! trajectory_dashboard [--trajectory PATH] [--out-dir DIR]
+//! trajectory_dashboard --check-drift [--trajectory PATH]
 //! ```
 //!
 //! `--check-drift` renders nothing: it walks consecutive trajectory
 //! entries carrying the `profile` extension and fails if the top stacks'
-//! shares of adjacent same-quickness runs break the share-drift rule
+//! shares of adjacent runs break the share-drift rule
 //! [`flicker_bench::profile::share_drift`] (the one `perf_baseline
 //! --check` applies) — cost *drift* caught in CI even when absolute
 //! latency gates still pass.
 //!
 //! Defaults read `BENCH_trajectory.jsonl` and write `docs/bench/`. Quick
-//! runs are skipped by default (the committed trajectory only carries
+//! runs are skipped, in both modes (the committed trajectory only carries
 //! full runs; CI writes its quick lines under `target/`). Every numeric
 //! leaf in a trajectory line becomes one series, named by its JSON path
 //! (`apps/ssh/p50_ms`, `farm/p50_ms`, `farm_attr/categories/tpm_ms`, ...).
@@ -40,7 +40,6 @@ const INDEX_HTML: &str = include_str!("trajectory_dashboard_index.html");
 fn main() -> ExitCode {
     let mut trajectory = String::from("BENCH_trajectory.jsonl");
     let mut out_dir = String::from("docs/bench");
-    let mut include_quick = false;
     let mut check_drift = false;
 
     let mut args = std::env::args().skip(1);
@@ -54,7 +53,6 @@ fn main() -> ExitCode {
                 Some(dir) => out_dir = dir,
                 None => return usage("--out-dir needs a directory"),
             },
-            "--include-quick" => include_quick = true,
             "--check-drift" => check_drift = true,
             other => return usage(&format!("unknown argument {other:?}")),
         }
@@ -68,7 +66,7 @@ fn main() -> ExitCode {
         }
     };
     if check_drift {
-        return run_check_drift(&trajectory, &text, include_quick);
+        return run_check_drift(&trajectory, &text);
     }
     // Merge lines commit-by-commit (in first-appearance order): one
     // dashboard entry per commit, holding the union of every tool's
@@ -90,8 +88,7 @@ fn main() -> ExitCode {
             eprintln!("{trajectory}:{}: unknown schema", lineno + 1);
             return ExitCode::FAILURE;
         }
-        let quick = value.get("quick").and_then(Value::as_bool).unwrap_or(false);
-        if quick && !include_quick {
+        if value.get("quick").and_then(Value::as_bool) == Some(true) {
             continue;
         }
         let commit = value
@@ -159,19 +156,19 @@ fn main() -> ExitCode {
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: trajectory_dashboard [--trajectory PATH] [--out-dir DIR] [--include-quick]\n\
-         \x20      trajectory_dashboard --check-drift [--trajectory PATH] [--include-quick]"
+        "usage: trajectory_dashboard [--trajectory PATH] [--out-dir DIR]\n\
+         \x20      trajectory_dashboard --check-drift [--trajectory PATH]"
     );
     ExitCode::from(2)
 }
 
-/// The drift detector: compares each trajectory entry's `profile`
-/// top-stack shares against the previous same-quickness entry that has
-/// them, by [`share_drift`]. Only the five heaviest stacks are recorded
-/// per line, so a stack missing from one side counts as share 0.
-fn run_check_drift(trajectory: &str, text: &str, include_quick: bool) -> ExitCode {
-    // Previous top-stack shares per quickness class.
-    let mut prev: BTreeMap<bool, (usize, BTreeMap<String, f64>)> = BTreeMap::new();
+/// The drift detector: compares each full-run trajectory entry's
+/// `profile` top-stack shares against the previous full-run entry that
+/// has them, by [`share_drift`]. Only the five heaviest stacks are
+/// recorded per line, so a stack missing from one side counts as share 0.
+fn run_check_drift(trajectory: &str, text: &str) -> ExitCode {
+    // The previous entry's line number and top-stack shares.
+    let mut prev: Option<(usize, BTreeMap<String, f64>)> = None;
     let mut compared = 0u64;
     let mut failures = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -185,8 +182,7 @@ fn run_check_drift(trajectory: &str, text: &str, include_quick: bool) -> ExitCod
                 return ExitCode::FAILURE;
             }
         };
-        let quick = value.get("quick").and_then(Value::as_bool).unwrap_or(false);
-        if quick && !include_quick {
+        if value.get("quick").and_then(Value::as_bool) == Some(true) {
             continue;
         }
         let Some(top) = value
@@ -200,7 +196,7 @@ fn run_check_drift(trajectory: &str, text: &str, include_quick: bool) -> ExitCod
             .iter()
             .filter_map(|(path, v)| Some((path.clone(), v.as_number()?)))
             .collect();
-        if let Some((prev_line, before)) = prev.get(&quick) {
+        if let Some((prev_line, before)) = &prev {
             compared += 1;
             for issue in share_drift(before, &shares) {
                 failures.push(format!(
@@ -210,7 +206,7 @@ fn run_check_drift(trajectory: &str, text: &str, include_quick: bool) -> ExitCod
                 ));
             }
         }
-        prev.insert(quick, (lineno + 1, shares));
+        prev = Some((lineno + 1, shares));
     }
     if !failures.is_empty() {
         for f in &failures {

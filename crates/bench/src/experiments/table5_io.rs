@@ -7,6 +7,10 @@
 //! free-running (non-host-paced) source overflows its device buffer during
 //! long suspensions, corrupting the stream — the reason Flicker-aware
 //! drivers are proposed as future work.
+//!
+//! The "md5 integrity" column keeps the paper's name for the check; the
+//! model decides it by delivery order, which agrees with comparing MD5
+//! digests of its offset-determined bytes (see `flicker_os::blockdev`).
 
 use crate::render_table;
 use flicker_os::{CopyConfig, CopyExperiment, CopyReport, Pacing};
@@ -23,7 +27,6 @@ fn run_copy(total: u64, rate: u64, pacing: Pacing, buffer: u64) -> CopyReport {
         rate,
         buffer_capacity: buffer,
         pacing,
-        seed: 75,
     });
     let mut guard = 0u32;
     while !copy.is_done() {
@@ -41,7 +44,6 @@ fn baseline(total: u64, rate: u64) -> Duration {
         rate,
         buffer_capacity: 1 << 21,
         pacing: Pacing::HostPaced,
-        seed: 75,
     });
     while !copy.is_done() {
         copy.advance(Duration::from_millis(100), true);

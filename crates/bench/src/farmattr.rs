@@ -34,8 +34,10 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Duration;
 
-/// Schema tag for a flight directory's `meta.json`.
-pub const FLIGHT_SCHEMA: &str = "flicker-farm-flight/v1";
+/// Schema tag for a flight directory's `meta.json`. Version 2 dropped the
+/// coordinator's clock-alignment anchors, so a version-1 directory is
+/// refused by its tag rather than by its first unknown event.
+pub const FLIGHT_SCHEMA: &str = "flicker-farm-flight/v2";
 
 /// Attribution must account for at least this fraction of every request's
 /// end-to-end wall time (the issue's acceptance bound).
@@ -45,7 +47,7 @@ pub const MIN_COVERAGE: f64 = 0.99;
 /// it can round-trip through a flight directory.
 #[derive(Debug, Clone, Default)]
 pub struct FarmFlight {
-    /// Coordinator events (wall-clock stamps, farm actions + anchors).
+    /// Coordinator events (farm actions, wall-clock stamps).
     pub coordinator: Vec<Event>,
     /// Per-shard event streams (virtual-clock stamps).
     pub shards: Vec<ShardStream>,
@@ -148,8 +150,12 @@ impl FarmFlight {
                 .map_err(|e| format!("reading {}: {e}", dir.join(name).display()))
         };
         let meta_doc = crate::json::parse(&read("meta.json")?)?;
-        if meta_doc.get("schema").and_then(Value::as_str) != Some(FLIGHT_SCHEMA) {
-            return Err(format!("{}: unknown flight schema", dir.display()));
+        let schema = meta_doc.get("schema").and_then(Value::as_str).unwrap_or("");
+        if schema != FLIGHT_SCHEMA {
+            return Err(format!(
+                "{}: flight schema {schema:?}, expected {FLIGHT_SCHEMA:?}",
+                dir.display()
+            ));
         }
         let machines = meta_doc
             .get("machines")
@@ -159,7 +165,8 @@ impl FarmFlight {
             .get("dropped_events")
             .and_then(Value::as_number)
             .unwrap_or(0.0) as u64;
-        let coordinator = export::parse_events_jsonl(&read("coordinator.jsonl")?)?;
+        let coordinator = export::parse_events_jsonl(&read("coordinator.jsonl")?)
+            .map_err(|e| format!("coordinator.jsonl: {e}"))?;
         let mut shards = Vec::new();
         for machine in 0..machines {
             let name = format!("machine-{machine}.jsonl");
@@ -210,35 +217,6 @@ impl FarmFlight {
             outcomes,
             dropped_events,
         })
-    }
-
-    /// Dumps the flight records of deviating requests (one
-    /// `outlier-<id>.jsonl` per request, carrying every event — on any
-    /// shard — stamped with that request's trace id, plus its coordinator
-    /// lifecycle events).
-    pub fn dump_outliers(&self, dir: &Path, outliers: &[u64]) -> Result<(), String> {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        for &id in outliers {
-            let mut events: Vec<&Event> = self
-                .coordinator
-                .iter()
-                .filter(|e| match &e.kind {
-                    flicker_trace::EventKind::Farm { request, .. } => *request == id,
-                    _ => false,
-                })
-                .collect();
-            for s in &self.shards {
-                events.extend(
-                    s.events
-                        .iter()
-                        .filter(|e| e.ctx.is_some_and(|c| c.request == id)),
-                );
-            }
-            let text: String = events.iter().map(|e| e.to_jsonl() + "\n").collect();
-            let path = dir.join(format!("outlier-{id}.jsonl"));
-            std::fs::write(&path, text).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        }
-        Ok(())
     }
 }
 
@@ -424,41 +402,6 @@ pub fn farm_attr_value(attr: &FarmAttribution, slo: &SloReport) -> Value {
     ]))
 }
 
-/// Renders the farm-wide merged timeline (coordinator + anchored shard
-/// streams) as readable text, one event per line.
-pub fn render_timeline(flight: &FarmFlight, limit: usize) -> String {
-    let merged = attribution::merge_timeline(&flight.coordinator, &flight.shards);
-    let mut out = String::new();
-    let total = merged.len();
-    for t in merged.into_iter().take(limit) {
-        let machine = if t.machine == attribution::COORDINATOR {
-            "coord".to_string()
-        } else {
-            format!("m{}", t.machine)
-        };
-        let ctx = match t.event.ctx {
-            Some(c) => format!(" req={} attempt={}", c.request, c.attempt),
-            None => String::new(),
-        };
-        let kind = match &t.event.kind {
-            flicker_trace::EventKind::Farm {
-                action, request, ..
-            } if *request != u64::MAX => format!("farm:{action} req={request}"),
-            flicker_trace::EventKind::Farm { action, .. } => format!("farm:{action}"),
-            other => other.name().to_string(),
-        };
-        out.push_str(&format!(
-            "{:>12.3}ms {:>6} {kind}{ctx}\n",
-            t.global.as_secs_f64() * 1e3,
-            machine,
-        ));
-    }
-    if total > limit {
-        out.push_str(&format!("... {} more events\n", total - limit));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,7 +424,23 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("farm-flight-{}", std::process::id()));
         flight.write(&dir).expect("write flight");
         let back = FarmFlight::read(&dir).expect("read flight");
+        // A line the reader rejects is named with its file, and a
+        // directory of another schema version is refused by its tag.
+        let coordinator = dir.join("coordinator.jsonl");
+        let mut events = std::fs::read_to_string(&coordinator).unwrap();
+        events.push_str("{\"at_ns\":1,\"kind\":\"anchor\",\"machine\":0,\"shard_ns\":5}\n");
+        std::fs::write(&coordinator, events).unwrap();
+        let bad_line = FarmFlight::read(&dir).map(|_| ()).unwrap_err();
+        let meta = std::fs::read_to_string(dir.join("meta.json")).unwrap();
+        let v1 = meta.replace(FLIGHT_SCHEMA, "flicker-farm-flight/v1");
+        std::fs::write(dir.join("meta.json"), v1).unwrap();
+        let old_schema = FarmFlight::read(&dir).map(|_| ()).unwrap_err();
         std::fs::remove_dir_all(&dir).ok();
+        assert!(bad_line.starts_with("coordinator.jsonl: "), "{bad_line}");
+        assert!(
+            old_schema.contains("\"flicker-farm-flight/v1\""),
+            "{old_schema}"
+        );
         assert_eq!(back.coordinator.len(), flight.coordinator.len());
         assert_eq!(back.shards.len(), flight.shards.len());
         assert_eq!(back.outcomes, flight.outcomes);

@@ -12,7 +12,8 @@
 //!   session succeeds, and any replay-protected state sealed before the
 //!   fault is still readable.
 //! * **Violation** — anything else: a panic, a leaked invariant, secret
-//!   bytes in RAM, or permanently unreadable sealed storage.
+//!   bytes in RAM, permanently unreadable sealed storage, or a flight
+//!   record that fails the audit or leaves a phase span open.
 //!
 //! A correct implementation produces zero violations for every seed.
 
@@ -202,12 +203,22 @@ pub fn run_schedule(seed: u64) -> ScheduleResult {
     // truncated stream is a violation too — an audit that only saw the
     // surviving suffix of the ring buffer proves nothing, and letting it
     // pass for clean would hide exactly the long, fault-heavy schedules
-    // most likely to break an invariant.
+    // most likely to break an invariant. So is a phase span still open at
+    // the end: an error path that skipped its `PhaseEnd` nests every later
+    // span of the recorder under it.
     let events = trace.events();
     let outcome = match outcome {
         Outcome::Violation(v) => Outcome::Violation(v),
         other => match audit::audit_trace(&trace) {
-            verdict if verdict.is_clean() => other,
+            verdict if verdict.is_clean() => {
+                match trace.spans().into_iter().find(|s| s.duration.is_none()) {
+                    Some(open) => Outcome::Violation(format!(
+                        "span {} opened at {:?} never closed",
+                        open.name, open.start
+                    )),
+                    None => other,
+                }
+            }
             verdict => match verdict.violations().first() {
                 Some(v) => Outcome::Violation(format!("trace audit: {v}")),
                 None => Outcome::Violation(format!("trace audit {verdict}")),

@@ -25,7 +25,25 @@ fn farm_bench_argument_errors_exit_2() {
     assert_usage_exit_2(
         env!("CARGO_BIN_EXE_farm_bench"),
         "farm_bench",
-        &[&["--bogus"], &["--machines"], &["--requests", "x"]],
+        &[
+            &["--bogus"],
+            &["--trajectory"],
+            &["--quick", "--flight-dir"],
+        ],
+    );
+}
+
+#[test]
+fn fault_sweep_argument_errors_exit_2() {
+    assert_usage_exit_2(
+        env!("CARGO_BIN_EXE_fault_sweep"),
+        "fault_sweep",
+        &[
+            &["--bogus"],
+            &["--seed"],
+            &["--seed", "x"],
+            &["--schedules"],
+        ],
     );
 }
 
@@ -34,7 +52,12 @@ fn perf_baseline_argument_errors_exit_2() {
     assert_usage_exit_2(
         env!("CARGO_BIN_EXE_perf_baseline"),
         "perf_baseline",
-        &[&["--bogus"], &["--out"], &["--quick", "--check"]],
+        &[
+            &["--bogus"],
+            &["--out"],
+            &["--trajectory"],
+            &["--quick", "--check"],
+        ],
     );
 }
 
@@ -60,10 +83,16 @@ fn flicker_trace_tool_argument_errors_exit_2() {
             &[],
             &["bogus"],
             &["export", "--bogus"],
+            &["export", "--format"],
+            &["export", "--format", "bogus"],
             &["export", "--out"],
+            &["audit"],
+            &["audit", "--jsonl"],
+            &["attribute"],
             &["attribute", "--from"],
-            &["farm-timeline", "--limit"],
-            &["flamegraph", "--diff"],
+            &["flamegraph", "--format"],
+            &["flamegraph", "--format", "bogus"],
+            &["flamegraph", "--out"],
         ],
     );
 }

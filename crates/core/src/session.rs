@@ -179,18 +179,42 @@ pub const VM_INSNS_COUNTER: &str = "vm.insns";
 /// (the hot-loop signal for the profile plane).
 pub const VM_LOOP_ITERS_COUNTER: &str = "vm.loop_iters";
 
-/// Records the opening of phase `name`; the recorder folds it into the
-/// phase's span.
-fn phase_start(tracer: &Option<Trace>, clock: &SimClock, name: &'static str) {
-    if let Some(t) = tracer {
-        t.event(clock.now(), EventKind::PhaseStart { name });
+/// One open Figure-2 phase. Its `PhaseEnd` is recorded when the phase is
+/// ended, or when an early return drops it, so an error can never leave
+/// the phase's span open (every later span would nest under it).
+struct Phase<'a> {
+    tracer: &'a Option<Trace>,
+    clock: &'a SimClock,
+    name: &'static str,
+    start: Duration,
+}
+
+impl<'a> Phase<'a> {
+    /// Records the `PhaseStart` of `name`.
+    fn start(tracer: &'a Option<Trace>, clock: &'a SimClock, name: &'static str) -> Self {
+        let start = clock.now();
+        if let Some(t) = tracer {
+            t.event(start, EventKind::PhaseStart { name });
+        }
+        Phase {
+            tracer,
+            clock,
+            name,
+            start,
+        }
+    }
+
+    /// Ends the phase and returns its virtual duration.
+    fn end(self) -> Duration {
+        self.clock.now() - self.start
     }
 }
 
-/// Records the close of phase `name`, which closes its span.
-fn phase_end(tracer: &Option<Trace>, clock: &SimClock, name: &'static str) {
-    if let Some(t) = tracer {
-        t.event(clock.now(), EventKind::PhaseEnd { name });
+impl Drop for Phase<'_> {
+    fn drop(&mut self) {
+        if let Some(t) = self.tracer {
+            t.event(self.clock.now(), EventKind::PhaseEnd { name: self.name });
+        }
     }
 }
 
@@ -278,7 +302,8 @@ impl Drop for ResumeGuard<'_> {
 /// regains control and resumes the OS. Whenever an error *is* returned,
 /// the platform has already been restored: the OS is running again (or
 /// rebooted, after a power loss), no suspend state is leaked, the SLB
-/// region is scrubbed, and PCR 17 is capped.
+/// region is scrubbed, and PCR 17 is capped. The trace closes every phase
+/// the session opened, before any recovery or reboot event.
 pub fn run_session(
     os: &mut Os,
     slb: &SlbImage,
@@ -311,7 +336,7 @@ pub fn run_session(
     // sessions can assert "no verified PAL ever faulted" — and so images
     // smuggled in through `build_unverified` are visibly on the record.
     if let PalPayload::Bytecode(prog) = slb.payload() {
-        phase_start(&tracer, &clock, VERIFY_SPAN_NAME);
+        let verify = Phase::start(&tracer, &clock, VERIFY_SPAN_NAME);
         let verdict = flicker_verifier::verify_program(prog);
         if let Some(t) = tracer.as_ref() {
             t.counter_add(
@@ -323,11 +348,11 @@ pub fn run_session(
                 1,
             );
         }
-        phase_end(&tracer, &clock, VERIFY_SPAN_NAME);
+        verify.end();
         // The ct verdict is a subset of the findings above; a separate
         // span + counter pair keeps timing-channel rejections visible
         // without re-running the analysis.
-        phase_start(&tracer, &clock, ANALYZE_SPAN_NAME);
+        let analyze = Phase::start(&tracer, &clock, ANALYZE_SPAN_NAME);
         if let Some(t) = tracer.as_ref() {
             t.counter_add(
                 if verdict.ct_clean() {
@@ -338,7 +363,7 @@ pub fn run_session(
                 1,
             );
         }
-        phase_end(&tracer, &clock, ANALYZE_SPAN_NAME);
+        analyze.end();
     }
 
     // ----- Accept SLB + inputs; initialize (patch) the SLB ------------------
@@ -355,8 +380,7 @@ pub fn run_session(
         };
 
     // ----- Suspend OS ---------------------------------------------------------
-    let sw = Stopwatch::start(&clock);
-    phase_start(&tracer, &clock, phases::SUSPEND);
+    let suspend = Phase::start(&tracer, &clock, phases::SUSPEND);
     if let Err(e) = os.suspend_for_session() {
         scrub_staging(os, slb_base, patched.len(), params.use_hashing_stub);
         return Err(e.into());
@@ -369,6 +393,9 @@ pub fn run_session(
         overflow_len: overflow.len(),
         armed: true,
     };
+    // Rebound after the guard so that, on an early return, the phase drops
+    // first: its `PhaseEnd` lands before the guard's recovery or reboot.
+    let suspend = suspend;
     let saved_state = guard
         .os
         .saved_state()
@@ -380,12 +407,10 @@ pub fn run_session(
         .write(slb_base + SAVED_STATE_OFFSET, &saved_state)?;
     machine.charge_cpu(SUSPEND_COST);
     machine.check_power()?;
-    phase_end(&tracer, &clock, phases::SUSPEND);
-    let t_suspend = sw.elapsed();
+    let t_suspend = suspend.end();
 
     // ----- SKINIT ---------------------------------------------------------------
-    let sw = Stopwatch::start(&clock);
-    phase_start(&tracer, &clock, phases::SKINIT);
+    let skinit = Phase::start(&tracer, &clock, phases::SKINIT);
     let launch = machine.skinit(0, slb_base)?;
     let slb_measurement = launch.measurement;
     debug_assert_eq!(
@@ -393,12 +418,10 @@ pub fn run_session(
         flicker_crypto::sha1::sha1(&measured_at_base)
     );
     machine.check_power()?;
-    phase_end(&tracer, &clock, phases::SKINIT);
-    let t_skinit = sw.elapsed();
+    let t_skinit = skinit.end();
 
     // ----- Hashing stub (optional §7.2 path) --------------------------------------
-    let sw = Stopwatch::start(&clock);
-    phase_start(&tracer, &clock, phases::STUB_MEASURE);
+    let stub = Phase::start(&tracer, &clock, phases::STUB_MEASURE);
     if params.use_hashing_stub {
         // The stub hashes the full 64 KB window on the main CPU and extends
         // the result into PCR 17.
@@ -422,12 +445,10 @@ pub fn run_session(
         }
     }
     machine.check_power()?;
-    phase_end(&tracer, &clock, phases::STUB_MEASURE);
-    let t_stub = sw.elapsed();
+    let t_stub = stub.end();
 
     // ----- SLB Core init + PAL execution ---------------------------------------
-    let sw = Stopwatch::start(&clock);
-    phase_start(&tracer, &clock, phases::PAL);
+    let pal = Phase::start(&tracer, &clock, phases::PAL);
     machine.charge_cpu(SLBCORE_INIT_COST);
     // The SLB Core records the entry measurement (PCR 17 after SKINIT and
     // any stub extends) before jumping to the PAL; charging the read here
@@ -482,12 +503,10 @@ pub fn run_session(
     }
     let ops = ctx.take_ops();
     machine.check_power()?;
-    phase_end(&tracer, &clock, phases::PAL);
-    let t_pal = sw.elapsed();
+    let t_pal = pal.end();
 
     // ----- Cleanup + terminal extends (SLB Core) ---------------------------------
-    let sw = Stopwatch::start(&clock);
-    phase_start(&tracer, &clock, phases::CLEANUP);
+    let cleanup = Phase::start(&tracer, &clock, phases::CLEANUP);
     // Erase every byte the PAL could have dirtied: the 64 KB window, the
     // input page, and the whole output page (so a short or discarded
     // output never leaves a previous session's bytes behind).
@@ -520,19 +539,16 @@ pub fn run_session(
     machine.tpm_op_retrying(|t| t.pcr_extend(17, &TERMINATOR))?;
     let pcr17_final = machine.tpm_op_retrying(|t| t.pcr_read(17))?;
     machine.check_power()?;
-    phase_end(&tracer, &clock, phases::CLEANUP);
-    let t_cleanup = sw.elapsed();
+    let t_cleanup = cleanup.end();
 
     // ----- Resume OS ---------------------------------------------------------------
-    let sw = Stopwatch::start(&clock);
-    phase_start(&tracer, &clock, phases::RESUME);
+    let resume = Phase::start(&tracer, &clock, phases::RESUME);
     machine.resume_os()?;
     machine.charge_cpu(RESUME_COST);
     machine.check_power()?;
     guard.os.resume_after_session()?;
     guard.disarm();
-    phase_end(&tracer, &clock, phases::RESUME);
-    let t_resume = sw.elapsed();
+    let t_resume = resume.end();
     if let (Some(t), Some(id)) = (tracer.as_ref(), session_id) {
         t.event(clock.now(), EventKind::SessionEnd { id });
     }

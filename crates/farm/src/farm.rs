@@ -28,11 +28,7 @@
 //! Coordinator events are stamped with *wall time since farm start* (there
 //! is no farm-wide virtual clock; each shard keeps its own virtual time),
 //! which makes queue wait directly measurable from `enqueued → admitted`
-//! deltas. At every scheduling decision that touches a shard the
-//! coordinator also emits an [`EventKind::Anchor`] pairing its wall stamp
-//! with the shard's virtual-clock reading; the attribution layer
-//! ([`flicker_trace::attribution::merge_timeline`]) uses those pairs to
-//! align all per-shard streams onto one farm-wide axis.
+//! deltas.
 //!
 //! Request-scoped tracing: the worker installs a
 //! [`flicker_trace::RequestCtx`] (trace id = request id, plus the attempt
@@ -147,7 +143,7 @@ struct Inner {
 impl Inner {
     /// Emits a farm lifecycle event, stamped with wall time since farm
     /// start (the coordinator is the only farm-wide clock; shard events
-    /// stay on their own virtual clocks and are aligned through anchors).
+    /// stay on their own virtual clocks).
     fn emit(&self, action: &str, request: u64, machine: u64) {
         self.coordinator.event(
             self.started.elapsed(),
@@ -159,27 +155,9 @@ impl Inner {
         );
     }
 
-    /// Emits a clock-alignment anchor: the coordinator's wall stamp paired
-    /// with `machine`'s virtual-clock reading at the same scheduling
-    /// decision. Timeline merging maps a shard event at virtual time `at`
-    /// to `anchor.wall + (at − anchor.shard_ns)` using the latest anchor
-    /// with `shard_ns ≤ at`.
-    fn anchor(&self, machine: u64, shard_now: Duration) {
-        self.coordinator.event(
-            self.started.elapsed(),
-            EventKind::Anchor {
-                machine,
-                shard_ns: u64::try_from(shard_now.as_nanos()).unwrap_or(u64::MAX),
-            },
-        );
-    }
-
     /// Records a terminal state for `p` and releases its in-flight slot.
-    /// `shard_now` is the serving shard's clock at the decision (anchored
-    /// so the terminal is placeable on the merged timeline).
-    fn finish(&self, p: Pending, terminal: Terminal, machine: u64, shard_now: Duration) {
+    fn finish(&self, p: Pending, terminal: Terminal, machine: u64) {
         self.emit(terminal.action(), p.id, machine);
-        self.anchor(machine, shard_now);
         let outcome = RequestOutcome {
             id: p.id,
             app: p.spec.app.name(),
@@ -536,13 +514,11 @@ fn worker_loop(inner: &Inner, mut shard: Shard) -> ShardSummary {
             }
         };
         inner.emit(actions::ADMITTED, p.id, shard.id());
-        inner.anchor(shard.id(), shard.clock().now());
 
         // ----- attempt loop (same shard until terminal or quarantine) ----
         loop {
             if p.consumed >= inner.config.deadline {
-                let (id, now) = (shard.id(), shard.clock().now());
-                inner.finish(p, Terminal::TimedOut, id, now);
+                inner.finish(p, Terminal::TimedOut, shard.id());
                 continue 'serve;
             }
             // Arm the request's injector: created once, carried across
@@ -568,9 +544,8 @@ fn worker_loop(inner: &Inner, mut shard: Shard) -> ShardSummary {
             match result {
                 Ok(()) => {
                     shard.breaker.record_success();
-                    let end = shard.end_attempt(p.id);
-                    let id = shard.id();
-                    inner.finish(p, Terminal::Done, id, end);
+                    shard.end_attempt(p.id);
+                    inner.finish(p, Terminal::Done, shard.id());
                     continue 'serve;
                 }
                 Err(msg) => {
@@ -582,7 +557,7 @@ fn worker_loop(inner: &Inner, mut shard: Shard) -> ShardSummary {
                     p.last_error = msg;
                     let tripped = shard.breaker.record_failure();
                     if tripped {
-                        let end = shard.end_attempt(p.id);
+                        shard.end_attempt(p.id);
                         inner.emit(actions::QUARANTINE, p.id, shard.id());
                         // A quarantined machine forfeits its parked auth
                         // session: live session state on a sick machine
@@ -593,8 +568,8 @@ fn worker_loop(inner: &Inner, mut shard: Shard) -> ShardSummary {
                         if p.attempts >= policy.max_attempts() {
                             // Terminal anyway: record it rather than
                             // requeueing a request with no attempts left.
-                            let (id, err) = (shard.id(), p.last_error.clone());
-                            inner.finish(p, Terminal::Failed(err), id, end);
+                            let err = p.last_error.clone();
+                            inner.finish(p, Terminal::Failed(err), shard.id());
                         } else {
                             // The quarantined machine's in-flight work is
                             // re-queued exactly once, attempts preserved —
@@ -602,7 +577,6 @@ fn worker_loop(inner: &Inner, mut shard: Shard) -> ShardSummary {
                             // continues the same request's span tree.
                             p.requeues += 1;
                             inner.emit(actions::REQUEUED, p.id, shard.id());
-                            inner.anchor(shard.id(), end);
                             let mut st = inner.state.lock().expect("farm state poisoned");
                             st.queue.push_back(p);
                             st.in_flight -= 1;
@@ -613,9 +587,9 @@ fn worker_loop(inner: &Inner, mut shard: Shard) -> ShardSummary {
                         continue 'serve;
                     }
                     if p.attempts >= policy.max_attempts() {
-                        let end = shard.end_attempt(p.id);
-                        let (id, err) = (shard.id(), p.last_error.clone());
-                        inner.finish(p, Terminal::Failed(err), id, end);
+                        shard.end_attempt(p.id);
+                        let err = p.last_error.clone();
+                        inner.finish(p, Terminal::Failed(err), shard.id());
                         continue 'serve;
                     }
                     // Deterministic jittered backoff, charged to this
@@ -624,9 +598,8 @@ fn worker_loop(inner: &Inner, mut shard: Shard) -> ShardSummary {
                         .backoff_jittered(p.attempts - 1, p.spec.seed ^ p.id)
                         .expect("attempts < max_attempts implies a backoff");
                     if p.consumed + wait >= inner.config.deadline {
-                        let end = shard.end_attempt(p.id);
-                        let id = shard.id();
-                        inner.finish(p, Terminal::TimedOut, id, end);
+                        shard.end_attempt(p.id);
+                        inner.finish(p, Terminal::TimedOut, shard.id());
                         continue 'serve;
                     }
                     // Charged inside the attempt window so the request's
@@ -664,9 +637,6 @@ fn probe_until_readmitted(inner: &Inner, shard: &mut Shard) -> bool {
         shard.breaker.probe_result(ok);
         if ok {
             inner.emit(actions::READMITTED, NO_REQUEST, shard.id());
-            // Probes advanced the shard's clock off-timeline; re-anchor it
-            // before the machine starts serving again.
-            inner.anchor(shard.id(), shard.clock().now());
             return true;
         }
     }

@@ -121,11 +121,9 @@ impl Shard {
     /// Closes the current attempt window: emits the `attempt_end` marker
     /// (still stamped with the request context) and clears the context, so
     /// later machine-scoped activity (probes, idling) is not mis-charged.
-    /// Returns the closing clock reading.
-    pub fn end_attempt(&self, request: u64) -> Duration {
-        let now = self.clock().now();
+    pub fn end_attempt(&self, request: u64) {
         self.trace.event(
-            now,
+            self.clock().now(),
             EventKind::Farm {
                 action: actions::ATTEMPT_END.into(),
                 request,
@@ -133,7 +131,6 @@ impl Shard {
             },
         );
         self.trace.set_request_ctx(None);
-        now
     }
 
     /// Charges a between-attempt retry backoff to this shard's clock and

@@ -17,16 +17,6 @@
 //!   markers, and request coverage is 1.0 up to charge rounding.
 //!   Per-ordinal [`EventKind::TpmCommand`] durations are a drill-down
 //!   *within* the `tpm` category, not an addition to it.
-//! * **A farm-wide timeline** ([`merge_timeline`]): per-shard virtual
-//!   clocks are aligned to the coordinator's wall clock through
-//!   [`EventKind::Anchor`] events (emitted at admission and terminal
-//!   decisions, pairing the coordinator's wall stamp with the shard's
-//!   clock reading). The alignment rule is `global = anchor.wall + (at −
-//!   anchor.shard_ns)` using the latest anchor with `shard_ns ≤ at`,
-//!   clamped monotone per shard. Shards idle between anchors, so the
-//!   merged axis is approximate *between* anchor points and exact at them;
-//!   attribution therefore only ever sums durations, never subtracts
-//!   cross-shard timestamps.
 //! * **SLO verdicts** ([`evaluate_slo`]): per-workload latency budgets,
 //!   breach counting (a request breaches by missing its terminal `done`
 //!   or by exceeding its budget), error-budget burn, and an outlier
@@ -312,85 +302,6 @@ fn attempt_entry(
 }
 
 // ---------------------------------------------------------------------------
-// Timeline merge
-// ---------------------------------------------------------------------------
-
-/// Machine index used for coordinator-scoped timeline entries.
-pub const COORDINATOR: u64 = u64::MAX;
-
-/// One event placed on the merged farm-wide time axis.
-#[derive(Debug, Clone)]
-pub struct TimelineEvent {
-    /// Position on the farm-wide (coordinator wall) axis.
-    pub global: Duration,
-    /// Originating shard, or [`COORDINATOR`].
-    pub machine: u64,
-    /// The original event (its `at` is still the source clock's stamp).
-    pub event: Event,
-}
-
-/// Merges the coordinator stream and per-shard streams onto one global
-/// axis using the coordinator's [`EventKind::Anchor`] events.
-///
-/// For each shard event the latest anchor with `shard_ns ≤ at` maps it as
-/// `global = anchor.wall + (at − anchor.shard_ns)`; events before the first
-/// anchor are pinned to it. A per-shard monotone watermark guarantees the
-/// merged stream never runs a shard backwards even where anchors disagree
-/// (shards idle between attempts, so inter-anchor positions are
-/// approximate by construction — attribution never subtracts cross-shard
-/// stamps, only the visualization uses this axis).
-pub fn merge_timeline(coordinator: &[Event], shards: &[ShardStream]) -> Vec<TimelineEvent> {
-    // anchors[machine] = [(shard_ns, wall)], in coordinator order.
-    let mut anchors: BTreeMap<u64, Vec<(Duration, Duration)>> = BTreeMap::new();
-    for e in coordinator {
-        if let EventKind::Anchor { machine, shard_ns } = &e.kind {
-            anchors
-                .entry(*machine)
-                .or_default()
-                .push((Duration::from_nanos(*shard_ns), e.at));
-        }
-    }
-    for list in anchors.values_mut() {
-        list.sort();
-    }
-
-    let mut out: Vec<TimelineEvent> = coordinator
-        .iter()
-        .map(|e| TimelineEvent {
-            global: e.at,
-            machine: COORDINATOR,
-            event: e.clone(),
-        })
-        .collect();
-
-    for shard in shards {
-        let Some(list) = anchors.get(&shard.machine) else {
-            continue; // never scheduled: no way to place its events
-        };
-        let mut watermark = Duration::ZERO;
-        for e in &shard.events {
-            let idx = list.partition_point(|&(shard_ns, _)| shard_ns <= e.at);
-            let (anchor_shard, anchor_wall) = if idx == 0 { list[0] } else { list[idx - 1] };
-            let global = if e.at >= anchor_shard {
-                anchor_wall + (e.at - anchor_shard)
-            } else {
-                anchor_wall.saturating_sub(anchor_shard - e.at)
-            };
-            let global = global.max(watermark);
-            watermark = global;
-            out.push(TimelineEvent {
-                global,
-                machine: shard.machine,
-                event: e.clone(),
-            });
-        }
-    }
-
-    out.sort_by_key(|t| (t.global, t.machine));
-    out
-}
-
-// ---------------------------------------------------------------------------
 // SLO monitoring
 // ---------------------------------------------------------------------------
 
@@ -461,8 +372,7 @@ pub struct SloReport {
     /// Per-workload verdicts, sorted by workload name.
     pub workloads: Vec<WorkloadSlo>,
     /// Request ids whose wall time deviated from their workload median by
-    /// more than the policy's outlier factor (candidates for a flight-
-    /// record dump).
+    /// more than the policy's outlier factor.
     pub outliers: Vec<u64>,
 }
 
@@ -562,13 +472,6 @@ mod tests {
         let coordinator = vec![
             farm(ms(0), "enqueued", 1, u64::MAX),
             farm(ms(2), "admitted", 1, 0),
-            Event::new(
-                ms(2),
-                EventKind::Anchor {
-                    machine: 0,
-                    shard_ns: ms(100).as_nanos() as u64,
-                },
-            ),
             farm(ms(12), "done", 1, 0),
         ];
         let shard = ShardStream {
@@ -690,64 +593,6 @@ mod tests {
         assert!(!r.done);
         assert_eq!(r.active(), Duration::ZERO);
         assert_eq!(r.coverage(), 1.0, "no wall time, nothing uncovered");
-    }
-
-    #[test]
-    fn timeline_aligns_shard_clocks_through_anchors() {
-        let (coordinator, shards) = simple_streams();
-        let merged = merge_timeline(&coordinator, &shards);
-        // attempt_start is at shard 100ms == anchor shard_ns, so it lands
-        // exactly on the anchor's wall stamp (2ms).
-        let start = merged
-            .iter()
-            .find(|t| {
-                matches!(&t.event.kind, EventKind::Farm { action, .. } if action == "attempt_start")
-            })
-            .unwrap();
-        assert_eq!(start.global, ms(2));
-        assert_eq!(start.machine, 0);
-        // attempt_end at shard 110ms → wall 2 + 10 = 12ms.
-        let end = merged
-            .iter()
-            .find(|t| {
-                matches!(&t.event.kind, EventKind::Farm { action, .. } if action == "attempt_end")
-            })
-            .unwrap();
-        assert_eq!(end.global, ms(12));
-        // Global axis is sorted and per-shard monotone.
-        for w in merged.windows(2) {
-            assert!(w[0].global <= w[1].global);
-        }
-    }
-
-    #[test]
-    fn timeline_clamps_pre_anchor_events_and_stays_monotone() {
-        let coordinator = vec![Event::new(
-            ms(5),
-            EventKind::Anchor {
-                machine: 0,
-                shard_ns: ms(10).as_nanos() as u64,
-            },
-        )];
-        let shards = vec![ShardStream {
-            machine: 0,
-            events: vec![
-                Event::new(ms(2), EventKind::OsSuspend), // before the anchor
-                Event::new(ms(12), EventKind::OsResume),
-            ],
-        }];
-        let merged = merge_timeline(&coordinator, &shards);
-        let suspend = merged
-            .iter()
-            .find(|t| matches!(t.event.kind, EventKind::OsSuspend))
-            .unwrap();
-        // 5ms wall − (10−2)ms saturates to zero.
-        assert_eq!(suspend.global, Duration::ZERO);
-        let resume = merged
-            .iter()
-            .find(|t| matches!(t.event.kind, EventKind::OsResume))
-            .unwrap();
-        assert_eq!(resume.global, ms(7));
     }
 
     #[test]

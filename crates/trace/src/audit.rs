@@ -265,7 +265,6 @@ pub fn audit_events(events: &[Event]) -> Vec<Violation> {
             | EventKind::FaultInjected { .. }
             | EventKind::Farm { .. }
             | EventKind::Charge { .. }
-            | EventKind::Anchor { .. }
             | EventKind::OsSuspend
             | EventKind::OsResume => {}
         }

@@ -139,16 +139,6 @@ pub enum EventKind {
         /// Charged duration in nanoseconds.
         ns: u64,
     },
-    /// Clock-alignment anchor: the farm coordinator pairs its own
-    /// wall-clock stamp (the event's `at`) with the serving shard's
-    /// virtual clock reading at the same scheduling instant, letting the
-    /// timeline merge place per-shard events on the farm-wide axis.
-    Anchor {
-        /// Shard index whose clock is being anchored.
-        machine: u64,
-        /// The shard's virtual clock reading, in nanoseconds.
-        shard_ns: u64,
-    },
     /// A PCR was extended.
     PcrExtend {
         /// PCR index.
@@ -232,7 +222,6 @@ impl EventKind {
             EventKind::PhaseEnd { .. } => "phase_end",
             EventKind::TpmCommand { .. } => "tpm_command",
             EventKind::Charge { .. } => "charge",
-            EventKind::Anchor { .. } => "anchor",
             EventKind::PcrExtend { .. } => "pcr_extend",
             EventKind::PcrReset { .. } => "pcr_reset",
             EventKind::DevProtect { .. } => "dev_protect",
@@ -304,10 +293,6 @@ impl EventKind {
             EventKind::Charge { op, ns } => {
                 push_str_field(s, "op", op);
                 push_u64_field(s, "ns", *ns);
-            }
-            EventKind::Anchor { machine, shard_ns } => {
-                push_u64_field(s, "machine", *machine);
-                push_u64_field(s, "shard_ns", *shard_ns);
             }
             EventKind::PcrExtend { index, locality } | EventKind::PcrReset { index, locality } => {
                 push_u64_field(s, "index", u64::from(*index));
@@ -426,10 +411,6 @@ impl Event {
             "charge" => EventKind::Charge {
                 op: req_name("op", &categories::ON_SHARD)?,
                 ns: req_u64("ns")?,
-            },
-            "anchor" => EventKind::Anchor {
-                machine: req_u64("machine")?,
-                shard_ns: req_u64("shard_ns")?,
             },
             "pcr_extend" => EventKind::PcrExtend {
                 index: req_u32("index")?,
@@ -598,10 +579,6 @@ mod tests {
             EventKind::Charge {
                 op: categories::TPM_BACKOFF,
                 ns: 1_000_000,
-            },
-            EventKind::Anchor {
-                machine: 3,
-                shard_ns: 55_000_000,
             },
             EventKind::PcrExtend {
                 index: 17,

@@ -45,9 +45,8 @@
 //! of each attempt ([`Trace::set_request_ctx`]), every event and span is
 //! stamped with it, and substrates charge virtual time to named attribution
 //! categories via [`Trace::charge`]. The [`attribution`] module folds those
-//! per-shard streams into per-request critical-path breakdowns, a farm-wide
-//! timeline (aligned through coordinator [`EventKind::Anchor`] events), and
-//! SLO verdicts.
+//! per-shard streams into per-request critical-path breakdowns and SLO
+//! verdicts.
 
 pub mod attribution;
 pub mod audit;

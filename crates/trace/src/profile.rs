@@ -254,7 +254,7 @@ impl Profile {
     }
 
     /// Per-stack *self* weights, keyed by `;`-joined path — exactly the
-    /// content of [`Profile::folded`], in map form for diffing.
+    /// content of [`Profile::folded`], in map form.
     pub fn folded_weights(&self) -> BTreeMap<String, u64> {
         let mut out = BTreeMap::new();
         for (name, node) in &self.roots {
@@ -350,53 +350,6 @@ pub fn parse_folded(text: &str) -> Result<BTreeMap<String, u64>, String> {
         *out.entry(path.to_string()).or_insert(0) += w;
     }
     Ok(out)
-}
-
-/// One stack's weight change between two folded profiles.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FoldedDelta {
-    /// `;`-joined stack path.
-    pub path: String,
-    /// Weight in the baseline profile (0 when the stack is new).
-    pub before: u64,
-    /// Weight in the subject profile (0 when the stack vanished).
-    pub after: u64,
-}
-
-impl FoldedDelta {
-    /// Signed change `after - before`.
-    pub fn delta(&self) -> i128 {
-        i128::from(self.after) - i128::from(self.before)
-    }
-}
-
-/// Diffs two folded-weight maps: every stack present in either, largest
-/// absolute change first (path breaks ties). Unchanged stacks are
-/// omitted.
-pub fn diff_folded(
-    before: &BTreeMap<String, u64>,
-    after: &BTreeMap<String, u64>,
-) -> Vec<FoldedDelta> {
-    let mut out: Vec<FoldedDelta> = Vec::new();
-    let paths: std::collections::BTreeSet<&String> = before.keys().chain(after.keys()).collect();
-    for path in paths {
-        let b = before.get(path).copied().unwrap_or(0);
-        let a = after.get(path).copied().unwrap_or(0);
-        if a != b {
-            out.push(FoldedDelta {
-                path: path.clone(),
-                before: b,
-                after: a,
-            });
-        }
-    }
-    out.sort_by(|x, y| {
-        y.delta()
-            .abs()
-            .cmp(&x.delta().abs())
-            .then(x.path.cmp(&y.path))
-    });
-    out
 }
 
 #[cfg(test)]
@@ -501,20 +454,6 @@ mod tests {
         let p = build(&t);
         assert_eq!(p.overflow_ns, 3_000_000);
         assert!(p.reconciliation_error() > 0.01);
-    }
-
-    #[test]
-    fn diff_orders_by_magnitude_and_handles_new_and_gone() {
-        let before = parse_folded("a;x 100\nb;y 50\nc;z 10\n").unwrap();
-        let after = parse_folded("a;x 400\nc;z 10\nd;w 20\n").unwrap();
-        let deltas = diff_folded(&before, &after);
-        assert_eq!(deltas.len(), 3);
-        assert_eq!(deltas[0].path, "a;x");
-        assert_eq!(deltas[0].delta(), 300);
-        assert_eq!(deltas[1].path, "b;y");
-        assert_eq!(deltas[1].delta(), -50);
-        assert_eq!(deltas[2].path, "d;w");
-        assert_eq!(deltas[2].after, 20);
     }
 
     #[test]
