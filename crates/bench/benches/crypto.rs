@@ -76,6 +76,31 @@ fn bench_symmetric(c: &mut Criterion) {
         b.iter(|| Hmac::<Sha1>::mac(b"state-mac-key", &data));
     });
 
+    // One authorization-session HMAC: the 61-byte message (paramDigest ‖
+    // nonceEven ‖ nonceOdd ‖ continueAuthSession) under a 20-byte session
+    // key, from a kept keyed state as the TPM's sessions compute it, and
+    // with the key schedule built afresh.
+    let message = [3u8; 61];
+    let keyed = Hmac::<Sha1>::new(&[4u8; 20]);
+    c.bench_function("hmac_sha1/auth_keyed", |b| {
+        b.iter(|| {
+            let mut h = keyed.clone();
+            h.update(&message);
+            let mut tag = [0u8; 20];
+            h.finalize_into(&mut tag);
+            tag
+        });
+    });
+    c.bench_function("hmac_sha1/auth_fresh_key", |b| {
+        b.iter(|| {
+            let mut h = Hmac::<Sha1>::new(&[4u8; 20]);
+            h.update(&message);
+            let mut tag = [0u8; 20];
+            h.finalize_into(&mut tag);
+            tag
+        });
+    });
+
     c.bench_function("md5crypt", |b| {
         b.iter(|| md5crypt(b"hunter2", b"fl1ck3r"));
     });

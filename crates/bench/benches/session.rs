@@ -8,6 +8,7 @@ use flicker_core::{
     SlbOptions,
 };
 use flicker_os::{Os, OsConfig};
+use flicker_trace::{audit, Trace};
 use std::sync::Arc;
 
 struct EchoPal;
@@ -65,5 +66,22 @@ fn bench_session(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_session);
+/// The per-window audit of a storage-sized flight record: echo sessions
+/// recorded until the ring holds the 37,500 events of a 1,000-session
+/// replay-protected-storage window.
+fn bench_audit(c: &mut Criterion) {
+    let mut os = Os::boot(OsConfig::fast_for_tests(1));
+    let slb = native_slb();
+    let trace = Trace::new();
+    os.set_tracer(trace.clone());
+    let params = SessionParams::with_inputs(b"ping".to_vec());
+    while trace.event_count() < 37_500 {
+        run_session(&mut os, &slb, &params).unwrap();
+    }
+    c.bench_function("trace/audit_window", |b| {
+        b.iter(|| audit::audit_trace(&trace));
+    });
+}
+
+criterion_group!(benches, bench_session, bench_audit);
 criterion_main!(benches);

@@ -7,11 +7,14 @@
 //! experiment in the evaluation harness reproducible bit-for-bit.
 //!
 //! It is also a measured host hot path: it draws every platform's 2.2 MB
-//! synthetic kernel and the TPM's key searches. [`HmacDrbg::generate`]
-//! keys its HMAC once per call (SP 800-90A §10.1.2.5 holds K fixed across
-//! the output loop), so a call for `n` 32-byte blocks costs `2n + 10`
-//! SHA-256 compressions and no heap allocation: 2 per block, 2 to key the
-//! HMAC and 8 for the state update.
+//! synthetic kernel, the TPM's key searches and a session nonce per
+//! continued authorized command. The generator holds HMAC keyed with K
+//! rather than K's bytes, and keys each new K once: that keyed state
+//! computes the next V and serves every HMAC(K, ·) until K changes (SP
+//! 800-90A §10.1.2.5 holds K fixed across the output loop). A call for `n`
+//! 32-byte blocks costs `2n + 6` SHA-256 compressions and no heap
+//! allocation: 2 per block, then 2 for the new K, 2 to key it and 2 for
+//! the new V.
 
 use crate::hmac::Hmac;
 use crate::rng::CryptoRng;
@@ -30,7 +33,8 @@ const SEED_INTERVAL: u64 = 1 << 24;
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
 pub struct HmacDrbg {
-    k: [u8; OUTPUT_LEN],
+    /// HMAC keyed with K, cloned for each HMAC(K, ·).
+    k: Hmac<Sha256>,
     v: [u8; OUTPUT_LEN],
     reseed_counter: u64,
 }
@@ -39,7 +43,7 @@ impl HmacDrbg {
     /// Instantiates the DRBG from `entropy` and a `nonce` (SP 800-90A §10.1.2.3).
     pub fn new(entropy: &[u8], nonce: &[u8]) -> Self {
         let mut drbg = HmacDrbg {
-            k: [0; OUTPUT_LEN],
+            k: Hmac::new(&[0; OUTPUT_LEN]),
             v: [1; OUTPUT_LEN],
             reseed_counter: 1,
         };
@@ -57,23 +61,25 @@ impl HmacDrbg {
 
     /// The HMAC_DRBG_Update function (SP 800-90A §10.1.2.2).
     fn update(&mut self, provided: Option<&[u8]>) {
-        let mut h = Hmac::<Sha256>::new(&self.k);
-        h.update(&self.v);
-        h.update(&[0x00]);
+        self.rekey(0x00, provided);
         if let Some(data) = provided {
-            h.update(data);
+            self.rekey(0x01, Some(data));
         }
-        h.finalize_into(&mut self.k);
-        next_v(Hmac::new(&self.k), &mut self.v);
+    }
 
+    /// One round of Update: K = HMAC(K, V ‖ round ‖ provided), keyed once,
+    /// then V = HMAC(K, V) under that keyed state.
+    fn rekey(&mut self, round: u8, provided: Option<&[u8]>) {
+        let mut h = self.k.clone();
+        h.update(&self.v);
+        h.update(&[round]);
         if let Some(data) = provided {
-            let mut h = Hmac::<Sha256>::new(&self.k);
-            h.update(&self.v);
-            h.update(&[0x01]);
             h.update(data);
-            h.finalize_into(&mut self.k);
-            next_v(Hmac::new(&self.k), &mut self.v);
         }
+        let mut k = [0; OUTPUT_LEN];
+        h.finalize_into(&mut k);
+        self.k = Hmac::new(&k);
+        next_v(&self.k, &mut self.v);
     }
 
     /// Generates `out.len()` pseudorandom bytes.
@@ -89,9 +95,8 @@ impl HmacDrbg {
             self.reseed_counter <= SEED_INTERVAL,
             "HMAC-DRBG requires reseed"
         );
-        let keyed = Hmac::<Sha256>::new(&self.k);
         for block in out.chunks_mut(OUTPUT_LEN) {
-            next_v(keyed.clone(), &mut self.v);
+            next_v(&self.k, &mut self.v);
             block.copy_from_slice(&self.v[..block.len()]);
         }
         self.update(None);
@@ -100,9 +105,10 @@ impl HmacDrbg {
 }
 
 /// V = HMAC(K, V), given an HMAC keyed with K.
-fn next_v(mut keyed: Hmac<Sha256>, v: &mut [u8; OUTPUT_LEN]) {
-    keyed.update(v);
-    keyed.finalize_into(v);
+fn next_v(k: &Hmac<Sha256>, v: &mut [u8; OUTPUT_LEN]) {
+    let mut h = k.clone();
+    h.update(v);
+    h.finalize_into(v);
 }
 
 impl CryptoRng for HmacDrbg {
@@ -163,39 +169,69 @@ mod tests {
         assert_ne!(a.next_u64(), b.next_u64());
     }
 
-    /// The per-block form of [`HmacDrbg::generate`], the oracle the
-    /// keyed-once one is checked against: a whole `Hmac::mac`, key set-up
-    /// included, for every 32-byte block.
-    fn generate_reference(drbg: &mut HmacDrbg, out: &mut [u8]) {
-        for block in out.chunks_mut(OUTPUT_LEN) {
-            let v = Hmac::<Sha256>::mac(&drbg.k, &drbg.v);
-            drbg.v.copy_from_slice(&v);
-            block.copy_from_slice(&drbg.v[..block.len()]);
+    /// SP 800-90A's HMAC_DRBG as written, over K's bytes: every HMAC is a
+    /// one-shot `Hmac::mac` with its own key set-up. The oracle the
+    /// keyed-state generator is checked against.
+    struct Reference {
+        k: [u8; OUTPUT_LEN],
+        v: [u8; OUTPUT_LEN],
+    }
+
+    impl Reference {
+        fn new(entropy: &[u8], nonce: &[u8]) -> Self {
+            let mut r = Reference {
+                k: [0; OUTPUT_LEN],
+                v: [1; OUTPUT_LEN],
+            };
+            r.update(Some(&[entropy, nonce].concat()));
+            r
         }
-        drbg.update(None);
-        drbg.reseed_counter += 1;
+
+        fn update(&mut self, provided: Option<&[u8]>) {
+            for round in [0x00, 0x01] {
+                let data = [&self.v[..], &[round], provided.unwrap_or_default()].concat();
+                self.k = mac(&self.k, &data);
+                self.v = mac(&self.k, &self.v);
+                if provided.is_none() {
+                    return;
+                }
+            }
+        }
+
+        fn generate(&mut self, out: &mut [u8]) {
+            for block in out.chunks_mut(OUTPUT_LEN) {
+                self.v = mac(&self.k, &self.v);
+                block.copy_from_slice(&self.v[..block.len()]);
+            }
+            self.update(None);
+        }
+    }
+
+    fn mac(key: &[u8], data: &[u8]) -> [u8; OUTPUT_LEN] {
+        Hmac::<Sha256>::mac(key, data)
+            .try_into()
+            .expect("a 32-byte tag")
     }
 
     #[test]
     fn generate_matches_the_per_block_reference() {
         let mut got = HmacDrbg::new(b"entropy", b"nonce");
-        let mut want = HmacDrbg::new(b"entropy", b"nonce");
-        let lengths = [0, 1, 20, 31, 32, 33, 64, 65, 1_000, 2_000_000];
+        let mut want = Reference::new(b"entropy", b"nonce");
+        let lengths = [0, 1, 20, 31, 32, 33, 64, 65, 1_000, 2_000_000, 8];
         for (i, len) in lengths.into_iter().enumerate() {
             let (mut a, mut b) = (vec![0; len], vec![0; len]);
             got.generate(&mut a);
-            generate_reference(&mut want, &mut b);
+            want.generate(&mut b);
             assert!(a == b, "len={len}");
             if i % 3 == 2 {
                 got.reseed(&len.to_be_bytes());
-                want.reseed(&len.to_be_bytes());
+                want.update(Some(&len.to_be_bytes()));
             }
         }
-        assert_eq!(got.next_u64(), want.next_u64());
     }
 
     /// The cost the module doc states: 2 compressions per output block
-    /// plus 10 per call, and one HMAC per block plus 2 per call.
+    /// plus 6 per call, and one HMAC per block plus 2 per call.
     #[test]
     fn generate_costs_two_compressions_per_block() {
         let mut drbg = HmacDrbg::new(b"e", b"n");
@@ -204,7 +240,7 @@ mod tests {
             drbg.generate(&mut vec![0; len as usize]);
             let cost = crate::cost::snapshot().since(&before);
             let blocks = len.div_ceil(OUTPUT_LEN as u64);
-            assert_eq!(cost.sha256_compress, 2 * blocks + 10, "len={len}");
+            assert_eq!(cost.sha256_compress, 2 * blocks + 6, "len={len}");
             assert_eq!(cost.hmac, blocks + 2, "len={len}");
         }
     }

@@ -14,6 +14,13 @@
 //!   start and used as the HMAC key, so the raw authdata is never an HMAC
 //!   key for command traffic.
 //!
+//! Both halves keep their HMAC keyed: the client from session start, the
+//! TPM from session start for OSAP and from the first command for OIAP
+//! (it re-keys only when a command names an object with another auth).
+//! A command's four HMACs (authorize, verify, respond, absorb) then
+//! clone a keyed state instead of rebuilding its key schedule, and the
+//! session types print no secret in `Debug`.
+//!
 //! A session stays live across commands when the caller sets
 //! `continueAuthSession` (Flicker's PAL context parks one such session per
 //! machine and reuses it across commands and PAL runs, §7.6): the TPM's
@@ -50,37 +57,45 @@ pub enum SessionKind {
 }
 
 /// Server-side (TPM-side) session state.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub(crate) struct AuthSession {
-    pub(crate) kind: SessionKind,
     /// Most recent even nonce generated by the TPM.
     pub(crate) nonce_even: Nonce,
-    /// For OSAP: the derived shared secret.
-    pub(crate) shared_secret: Option<AuthData>,
     /// The odd nonce of the last accepted command on this session; a
     /// repeat is rejected outright, so a client that re-seeds its nonce
     /// generator per retry attempt (the bug this guards against) fails
     /// loudly instead of silently weakening the anti-replay guarantee.
     pub(crate) last_nonce_odd: Option<Nonce>,
+    key: SessionKey,
 }
 
-/// Computes the authorization HMAC over a command:
-/// `HMAC(key, paramDigest ‖ nonceEven ‖ nonceOdd ‖ continueSession)`.
+/// The HMAC key of a server-side session, kept keyed.
+#[derive(Clone)]
+enum SessionKey {
+    /// Keyed with the object auth of the last command verified, kept to
+    /// match the next command's; `None` before the first command.
+    Oiap(Option<(AuthData, Hmac<Sha1>)>),
+    /// Keyed with the shared secret derived at session start.
+    Osap(Hmac<Sha1>),
+}
+
+/// Computes the authorization HMAC over a command,
+/// `HMAC(key, paramDigest ‖ nonceEven ‖ nonceOdd ‖ continueSession)`,
+/// given an HMAC keyed with `key`.
 pub fn auth_hmac(
-    key: &AuthData,
+    key: &Hmac<Sha1>,
     param_digest: &[u8; 20],
     nonce_even: &Nonce,
     nonce_odd: &Nonce,
     continue_session: bool,
 ) -> [u8; 20] {
-    let mut h = Hmac::<Sha1>::new(key);
+    let mut h = key.clone();
     h.update(param_digest);
     h.update(nonce_even);
     h.update(nonce_odd);
     h.update(&[continue_session as u8]);
-    let v = h.finalize();
     let mut out = [0u8; 20];
-    out.copy_from_slice(&v);
+    h.finalize_into(&mut out);
     out
 }
 
@@ -102,12 +117,24 @@ pub fn osap_shared_secret(
 
 /// Client-side helper mirroring what the PAL's TPM Utilities do: track
 /// nonces and produce per-command HMACs.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ClientSession {
     kind: SessionKind,
     handle: u32,
-    key: AuthData,
+    /// HMAC keyed with the session secret: the object auth for OIAP, the
+    /// shared secret for OSAP.
+    key: Hmac<Sha1>,
     nonce_even: Nonce,
+}
+
+impl std::fmt::Debug for ClientSession {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ClientSession")
+            .field("kind", &self.kind)
+            .field("handle", &self.handle)
+            .field("nonce_even", &self.nonce_even)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ClientSession {
@@ -115,7 +142,7 @@ impl ClientSession {
         ClientSession {
             kind,
             handle,
-            key,
+            key: Hmac::new(&key),
             nonce_even,
         }
     }
@@ -230,26 +257,51 @@ pub struct ResponseAuth {
 }
 
 impl AuthSession {
+    /// An OIAP session, keyed by its first command.
+    pub(crate) fn oiap(nonce_even: Nonce) -> Self {
+        AuthSession {
+            nonce_even,
+            last_nonce_odd: None,
+            key: SessionKey::Oiap(None),
+        }
+    }
+
+    /// An OSAP session keyed with its `shared_secret`.
+    pub(crate) fn osap(shared_secret: &AuthData, nonce_even: Nonce) -> Self {
+        AuthSession {
+            nonce_even,
+            last_nonce_odd: None,
+            key: SessionKey::Osap(Hmac::new(shared_secret)),
+        }
+    }
+
     /// Verifies a command authorization against this session; returns the
-    /// HMAC key on success so response authentication can be computed.
+    /// keyed HMAC on success so response authentication can be computed.
     pub(crate) fn verify(
-        &self,
+        &mut self,
         object_auth: &AuthData,
         param_digest: &[u8; 20],
         auth: &CommandAuth,
-    ) -> TpmResult<AuthData> {
-        let key = match self.kind {
-            SessionKind::Oiap => *object_auth,
-            SessionKind::Osap => self.shared_secret.ok_or(TpmError::AuthFail)?,
-        };
+    ) -> TpmResult<&Hmac<Sha1>> {
         if self.last_nonce_odd.as_ref() == Some(&auth.nonce_odd) {
             // An odd nonce may never repeat within a session: a client
             // re-deriving the same nonce (e.g. re-seeding its generator
             // per retry) is indistinguishable from a replay.
             return Err(TpmError::AuthFail);
         }
+        let key = match &mut self.key {
+            SessionKey::Osap(key) => &*key,
+            SessionKey::Oiap(last) => {
+                let kept = last
+                    .take()
+                    .filter(|(last_auth, _)| flicker_crypto::ct_eq(last_auth, object_auth));
+                &last
+                    .insert(kept.unwrap_or_else(|| (*object_auth, Hmac::new(object_auth))))
+                    .1
+            }
+        };
         let expected = auth_hmac(
-            &key,
+            key,
             param_digest,
             &self.nonce_even,
             &auth.nonce_odd,
@@ -260,6 +312,20 @@ impl AuthSession {
         } else {
             Err(TpmError::AuthFail)
         }
+    }
+}
+
+impl std::fmt::Debug for AuthSession {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let kind = match self.key {
+            SessionKey::Oiap(_) => SessionKind::Oiap,
+            SessionKey::Osap(_) => SessionKind::Osap,
+        };
+        f.debug_struct("AuthSession")
+            .field("kind", &kind)
+            .field("nonce_even", &self.nonce_even)
+            .field("last_nonce_odd", &self.last_nonce_odd)
+            .finish_non_exhaustive()
     }
 }
 
@@ -275,12 +341,7 @@ mod tests {
     #[test]
     fn oiap_hmac_round_trip() {
         let auth: AuthData = [7; 20];
-        let session = AuthSession {
-            kind: SessionKind::Oiap,
-            nonce_even: nonce(1),
-            shared_secret: None,
-            last_nonce_odd: None,
-        };
+        let mut session = AuthSession::oiap(nonce(1));
         let mut client = ClientSession::new(SessionKind::Oiap, 0x100, auth, nonce(1));
         let mut rng = XorShiftRng::new(60);
         let pd = [9u8; 20];
@@ -291,34 +352,27 @@ mod tests {
     #[test]
     fn wrong_secret_fails() {
         let auth: AuthData = [7; 20];
-        let session = AuthSession {
-            kind: SessionKind::Oiap,
-            nonce_even: nonce(1),
-            shared_secret: None,
-            last_nonce_odd: None,
-        };
+        let mut session = AuthSession::oiap(nonce(1));
         let mut client = ClientSession::new(SessionKind::Oiap, 0x100, [8; 20], nonce(1));
         let mut rng = XorShiftRng::new(61);
         let pd = [9u8; 20];
         let ca = client.authorize(&pd, &mut rng, true);
-        assert_eq!(session.verify(&auth, &pd, &ca), Err(TpmError::AuthFail));
+        assert_eq!(
+            session.verify(&auth, &pd, &ca).err(),
+            Some(TpmError::AuthFail)
+        );
     }
 
     #[test]
     fn tampered_params_fail() {
         let auth: AuthData = [7; 20];
-        let session = AuthSession {
-            kind: SessionKind::Oiap,
-            nonce_even: nonce(1),
-            shared_secret: None,
-            last_nonce_odd: None,
-        };
+        let mut session = AuthSession::oiap(nonce(1));
         let mut client = ClientSession::new(SessionKind::Oiap, 0x100, auth, nonce(1));
         let mut rng = XorShiftRng::new(62);
         let ca = client.authorize(&[9u8; 20], &mut rng, true);
         assert_eq!(
-            session.verify(&auth, &[10u8; 20], &ca),
-            Err(TpmError::AuthFail),
+            session.verify(&auth, &[10u8; 20], &ca).err(),
+            Some(TpmError::AuthFail),
             "changing command parameters invalidates the HMAC"
         );
     }
@@ -331,13 +385,11 @@ mod tests {
         let mut rng = XorShiftRng::new(63);
         let pd = [9u8; 20];
         let ca = client.authorize(&pd, &mut rng, true);
-        let rolled = AuthSession {
-            kind: SessionKind::Oiap,
-            nonce_even: nonce(2),
-            shared_secret: None,
-            last_nonce_odd: None,
-        };
-        assert_eq!(rolled.verify(&auth, &pd, &ca), Err(TpmError::AuthFail));
+        let mut rolled = AuthSession::oiap(nonce(2));
+        assert_eq!(
+            rolled.verify(&auth, &pd, &ca).err(),
+            Some(TpmError::AuthFail)
+        );
     }
 
     #[test]
@@ -348,12 +400,7 @@ mod tests {
         let shared = osap_shared_secret(&auth, &ne_osap, &no_osap);
         assert_ne!(shared, auth);
 
-        let session = AuthSession {
-            kind: SessionKind::Osap,
-            nonce_even: nonce(1),
-            shared_secret: Some(shared),
-            last_nonce_odd: None,
-        };
+        let mut session = AuthSession::osap(&shared, nonce(1));
         let mut client = ClientSession::new(SessionKind::Osap, 0x200, shared, nonce(1));
         let mut rng = XorShiftRng::new(64);
         let pd = [5u8; 20];
@@ -363,23 +410,22 @@ mod tests {
         // A client that (incorrectly) HMACs with the raw authdata fails.
         let mut raw_client = ClientSession::new(SessionKind::Osap, 0x200, auth, nonce(1));
         let ca = raw_client.authorize(&pd, &mut rng, true);
-        assert_eq!(session.verify(&auth, &pd, &ca), Err(TpmError::AuthFail));
+        assert_eq!(
+            session.verify(&auth, &pd, &ca).err(),
+            Some(TpmError::AuthFail)
+        );
     }
 
     #[test]
     fn response_auth_round_trip_rolls_nonce() {
         let auth: AuthData = [7; 20];
-        let mut session = AuthSession {
-            kind: SessionKind::Oiap,
-            nonce_even: nonce(1),
-            shared_secret: None,
-            last_nonce_odd: None,
-        };
+        let mut session = AuthSession::oiap(nonce(1));
         let mut client = ClientSession::new(SessionKind::Oiap, 0x100, auth, nonce(1));
         let mut rng = XorShiftRng::new(65);
         let pd = [9u8; 20];
         let ca = client.authorize(&pd, &mut rng, true);
         let key = session.verify(&auth, &pd, &ca).unwrap();
+        let hmac = auth_hmac(key, &pd, &nonce(2), &ca.nonce_odd, true);
 
         // TPM side: record the odd nonce, roll the even, answer.
         session.last_nonce_odd = Some(ca.nonce_odd);
@@ -387,7 +433,7 @@ mod tests {
         let resp = ResponseAuth {
             nonce_even: nonce(2),
             continue_session: true,
-            hmac: auth_hmac(&key, &pd, &nonce(2), &ca.nonce_odd, true),
+            hmac,
         };
         client.absorb_response(&pd, &ca, &resp).unwrap();
 
@@ -414,12 +460,7 @@ mod tests {
         );
         // Client nonce is unchanged: a genuine response under the original
         // even nonce still verifies.
-        let session = AuthSession {
-            kind: SessionKind::Oiap,
-            nonce_even: nonce(1),
-            shared_secret: None,
-            last_nonce_odd: None,
-        };
+        let mut session = AuthSession::oiap(nonce(1));
         let ca2 = client.authorize(&pd, &mut rng, true);
         assert!(session.verify(&auth, &pd, &ca2).is_ok());
     }
@@ -433,13 +474,74 @@ mod tests {
         let mut rng = XorShiftRng::new(67);
         let pd = [9u8; 20];
         let ca = client.authorize(&pd, &mut rng, true);
-        let session = AuthSession {
-            kind: SessionKind::Oiap,
-            nonce_even: nonce(1),
-            shared_secret: None,
-            last_nonce_odd: Some(ca.nonce_odd),
-        };
-        assert_eq!(session.verify(&auth, &pd, &ca), Err(TpmError::AuthFail));
+        let mut session = AuthSession::oiap(nonce(1));
+        session.last_nonce_odd = Some(ca.nonce_odd);
+        assert_eq!(
+            session.verify(&auth, &pd, &ca).err(),
+            Some(TpmError::AuthFail)
+        );
+    }
+
+    #[test]
+    fn oiap_rekeys_when_the_object_auth_changes() {
+        // One OIAP session authorizes commands on objects with different
+        // auths: the key the TPM half keeps must follow the object, so A's
+        // auth never authorizes a command on B.
+        let (a, b): (AuthData, AuthData) = ([7; 20], [8; 20]);
+        let mut session = AuthSession::oiap(nonce(1));
+        let mut clients = [a, b].map(|k| ClientSession::new(SessionKind::Oiap, 0x100, k, nonce(1)));
+        let mut rng = XorShiftRng::new(69);
+        let pd = [9u8; 20];
+        // (object auth, client holding a's or b's auth, verifies)
+        for (object, client, ok) in [
+            (a, 0, true),
+            (b, 0, false),
+            (b, 1, true),
+            (a, 1, false),
+            (a, 0, true),
+        ] {
+            let ca = clients[client].authorize(&pd, &mut rng, true);
+            assert_eq!(session.verify(&object, &pd, &ca).is_ok(), ok);
+        }
+    }
+
+    #[test]
+    fn keyed_auth_hmac_matches_the_one_shot_mac() {
+        let mut rng = XorShiftRng::new(68);
+        for _ in 0..32 {
+            let mut fields = [[0u8; 20]; 4];
+            fields.iter_mut().for_each(|f| rng.fill_bytes(f));
+            let [key, pd, even, odd] = fields;
+            let keyed = Hmac::<Sha1>::new(&key);
+            for continue_session in [false, true] {
+                let message = [&pd[..], &even, &odd, &[continue_session as u8]].concat();
+                assert_eq!(
+                    auth_hmac(&keyed, &pd, &even, &odd, continue_session).to_vec(),
+                    Hmac::<Sha1>::mac(&key, &message)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn debug_prints_no_secret() {
+        let auth: AuthData = [0x5A; 20];
+        let shared = osap_shared_secret(&auth, &nonce(0xA), &nonce(0xB));
+        let printed = [
+            format!(
+                "{:?}",
+                ClientSession::new(SessionKind::Osap, 0x200, shared, nonce(1))
+            ),
+            format!("{:?}", AuthSession::osap(&shared, nonce(1))),
+        ];
+        for text in printed {
+            assert!(text.contains("Osap"), "{text}");
+            for secret in [auth, shared] {
+                assert!(!text.contains(&format!("{secret:?}")), "{text}");
+                let hex = flicker_crypto::hex::encode(&secret);
+                assert!(!text.to_lowercase().contains(&hex), "{text}");
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! root that never leaves the [`crate::Tpm`] struct. The externally
 //! observable behaviour is identical — blobs are opaque, bound to one TPM,
 //! integrity-protected, and PCR-gated — and the *cost* of the RSA operation
-//! is still charged via [`crate::timing::TpmTimingProfile`].
+//! is still charged via [`crate::timing::TpmTimingProfile`]. The storage
+//! root expands its AES key and keys its MAC once, when the TPM is
+//! manufactured; each `Seal` and `Unseal` reuses both schedules.
 
 use crate::auth::AuthData;
 use crate::error::{TpmError, TpmResult};
@@ -58,13 +60,27 @@ impl SealedBlob {
 /// manufacture. Models the SRK's protected-storage role.
 #[derive(Clone)]
 pub(crate) struct StorageRoot {
-    enc_key: [u8; 16],
-    mac_key: [u8; 20],
+    /// The expanded encryption key.
+    aes: Aes128,
+    /// HMAC keyed with the MAC key.
+    mac: Hmac<Sha1>,
 }
 
 impl StorageRoot {
     pub(crate) fn new(enc_key: [u8; 16], mac_key: [u8; 20]) -> Self {
-        StorageRoot { enc_key, mac_key }
+        StorageRoot {
+            aes: Aes128::new(&enc_key),
+            mac: Hmac::new(&mac_key),
+        }
+    }
+
+    /// The blob MAC over `bytes`.
+    fn mac(&self, bytes: &[u8]) -> [u8; 20] {
+        let mut h = self.mac.clone();
+        h.update(bytes);
+        let mut tag = [0; 20];
+        h.finalize_into(&mut tag);
+        tag
     }
 
     /// Seals `data` so it is released only when the selected PCRs hash to
@@ -85,8 +101,7 @@ impl StorageRoot {
         payload.extend_from_slice(blob_auth);
         payload.extend_from_slice(data);
 
-        let aes = Aes128::new(&self.enc_key);
-        aes.ctr_apply(&nonce, 0, &mut payload);
+        self.aes.ctr_apply(&nonce, 0, &mut payload);
 
         let sel_enc = selection.encode();
         let mut bytes = Vec::with_capacity(4 + sel_enc.len() + 20 + 8 + 4 + payload.len() + 20);
@@ -98,7 +113,7 @@ impl StorageRoot {
         bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         bytes.extend_from_slice(&payload);
 
-        let mac = Hmac::<Sha1>::mac(&self.mac_key, &bytes);
+        let mac = self.mac(&bytes);
         bytes.extend_from_slice(&mac);
         SealedBlob { bytes }
     }
@@ -117,8 +132,7 @@ impl StorageRoot {
             return Err(TpmError::DecryptError);
         }
         let mac_off = b.len() - 20;
-        let mac = Hmac::<Sha1>::mac(&self.mac_key, &b[..mac_off]);
-        if !flicker_crypto::ct_eq(&mac, &b[mac_off..]) {
+        if !flicker_crypto::ct_eq(&self.mac(&b[..mac_off]), &b[mac_off..]) {
             return Err(TpmError::DecryptError);
         }
 
@@ -142,8 +156,7 @@ impl StorageRoot {
             return Err(TpmError::DecryptError);
         }
         let mut payload = b[off..off + payload_len].to_vec();
-        let aes = Aes128::new(&self.enc_key);
-        aes.ctr_apply(&nonce, 0, &mut payload);
+        self.aes.ctr_apply(&nonce, 0, &mut payload);
 
         let mut blob_auth = [0u8; 20];
         blob_auth.copy_from_slice(&payload[..20]);
@@ -213,6 +226,29 @@ mod tests {
         assert_eq!(dar, digest);
         assert_eq!(auth, [9; 20]);
         assert_eq!(data, b"secret key material");
+    }
+
+    /// A seal and an open each cost the blob MAC under the root's kept
+    /// keyed state (the body's compressions plus 1 outer) and the CTR
+    /// blocks under its expanded key; no key schedule is rebuilt.
+    #[test]
+    fn seal_and_open_reuse_the_root_schedules() {
+        let r = root();
+        // (data length, SHA-1 compressions, AES blocks): the MAC covers a
+        // 62-byte header-and-auth body plus the data.
+        for (len, sha1, aes) in [(0, 3, 2), (32, 3, 4), (200, 6, 14)] {
+            let before = flicker_crypto::cost::snapshot();
+            let blob = r.seal(&vec![7; len], &sel17(), [0; 20], &[9; 20], [1; 8]);
+            let sealed = flicker_crypto::cost::snapshot().since(&before);
+            let before = flicker_crypto::cost::snapshot();
+            r.open(&blob).unwrap();
+            let opened = flicker_crypto::cost::snapshot().since(&before);
+            for cost in [sealed, opened] {
+                assert_eq!(cost.sha1_compress, sha1, "len={len}");
+                assert_eq!(cost.sha256_compress, 0, "len={len}");
+                assert_eq!(cost.aes_block, aes, "len={len}");
+            }
+        }
     }
 
     #[test]

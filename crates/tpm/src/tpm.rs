@@ -412,18 +412,10 @@ impl Tpm {
     pub fn oiap(&mut self, object_auth: AuthData) -> ClientSession {
         let cost = self.config.timing.session_start;
         self.charge_traced("TPM_OIAP", cost);
-        let nonce_even = self.fresh_nonce();
+        let nonce_even = fresh_nonce(&mut self.session_drbg);
         let handle = self.next_session_handle;
         self.next_session_handle += 1;
-        self.insert_session(
-            handle,
-            AuthSession {
-                kind: SessionKind::Oiap,
-                nonce_even,
-                shared_secret: None,
-                last_nonce_odd: None,
-            },
-        );
+        self.insert_session(handle, AuthSession::oiap(nonce_even));
         ClientSession::new(SessionKind::Oiap, handle, object_auth, nonce_even)
     }
 
@@ -432,20 +424,12 @@ impl Tpm {
     pub fn osap(&mut self, object_auth: AuthData, nonce_odd_osap: Nonce) -> ClientSession {
         let cost = self.config.timing.session_start;
         self.charge_traced("TPM_OSAP", cost);
-        let nonce_even = self.fresh_nonce();
-        let nonce_even_osap = self.fresh_nonce();
+        let nonce_even = fresh_nonce(&mut self.session_drbg);
+        let nonce_even_osap = fresh_nonce(&mut self.session_drbg);
         let shared = osap_shared_secret(&object_auth, &nonce_even_osap, &nonce_odd_osap);
         let handle = self.next_session_handle;
         self.next_session_handle += 1;
-        self.insert_session(
-            handle,
-            AuthSession {
-                kind: SessionKind::Osap,
-                nonce_even,
-                shared_secret: Some(shared),
-                last_nonce_odd: None,
-            },
-        );
+        self.insert_session(handle, AuthSession::osap(&shared, nonce_even));
         ClientSession::new(SessionKind::Osap, handle, shared, nonce_even)
     }
 
@@ -478,12 +462,6 @@ impl Tpm {
         self.sessions.len()
     }
 
-    fn fresh_nonce(&mut self) -> Nonce {
-        let mut n = [0u8; 20];
-        self.session_drbg.generate(&mut n);
-        n
-    }
-
     fn verify_auth(
         &mut self,
         object_auth: &AuthData,
@@ -493,7 +471,7 @@ impl Tpm {
         self.pending_response_auth = None;
         let session = self
             .sessions
-            .get(&auth.session_handle)
+            .get_mut(&auth.session_handle)
             .ok_or(TpmError::InvalidAuthHandle(auth.session_handle))?;
         match session.verify(object_auth, param_digest, auth) {
             Err(e) => {
@@ -504,15 +482,14 @@ impl Tpm {
                 // Roll the even nonce, remember the odd one (anti-replay),
                 // and leave a response authorization so the client can roll
                 // in lockstep.
-                let new_even = self.fresh_nonce();
-                if let Some(s) = self.sessions.get_mut(&auth.session_handle) {
-                    s.nonce_even = new_even;
-                    s.last_nonce_odd = Some(auth.nonce_odd);
-                }
+                let new_even = fresh_nonce(&mut self.session_drbg);
+                let hmac = auth_hmac(key, param_digest, &new_even, &auth.nonce_odd, true);
+                session.nonce_even = new_even;
+                session.last_nonce_odd = Some(auth.nonce_odd);
                 self.pending_response_auth = Some(ResponseAuth {
                     nonce_even: new_even,
                     continue_session: true,
-                    hmac: auth_hmac(&key, param_digest, &new_even, &auth.nonce_odd, true),
+                    hmac,
                 });
                 Ok(())
             }
@@ -762,6 +739,13 @@ impl Tpm {
     pub fn srk_handle(&self) -> u32 {
         KH_SRK
     }
+}
+
+/// Draws a session nonce from the TPM's session DRBG.
+fn fresh_nonce(session_drbg: &mut HmacDrbg) -> Nonce {
+    let mut n = [0u8; 20];
+    session_drbg.generate(&mut n);
+    n
 }
 
 #[cfg(test)]
@@ -1061,6 +1045,41 @@ mod tests {
         assert_eq!(t.open_session_count(), 0, "closed by continue=false");
     }
 
+    /// The host cost of one `TPM_Unseal` round trip on a continued OIAP
+    /// session whose TPM half already holds the blob's auth (the
+    /// well-known one, as in replay-protected storage): each of the four
+    /// HMACs (authorize, verify, respond, absorb) clones a kept keyed
+    /// state, and the next even nonce is one 20-byte DRBG draw.
+    #[test]
+    fn continued_unseal_round_trip_costs() {
+        let mut t = tpm();
+        let sel = PcrSelection::pcr17();
+        let digest = t.pcrs().composite_hash(&sel).unwrap();
+        let wk = crate::auth::WELL_KNOWN_AUTH;
+        let mut session = t.oiap(wk);
+        let mut rng = XorShiftRng::new(91);
+        let pd = Tpm::param_digest(&[b"TPM_Seal", &[7; 32], &sel.encode(), &digest]);
+        let ca = session.authorize(&pd, &mut rng, true);
+        let blob = t.seal(&[7; 32], &sel, &wk, &ca).unwrap();
+        let resp = t.take_response_auth().unwrap();
+        session.absorb_response(&pd, &ca, &resp).unwrap();
+
+        let pd = Tpm::param_digest(&[b"TPM_Unseal", blob.as_bytes()]);
+        let before = flicker_crypto::cost::snapshot();
+        let ca = session.authorize(&pd, &mut rng, true);
+        assert_eq!(t.unseal(&blob, &ca).unwrap(), [7; 32]);
+        let resp = t.take_response_auth().unwrap();
+        session.absorb_response(&pd, &ca, &resp).unwrap();
+        let cost = flicker_crypto::cost::snapshot().since(&before);
+        // SHA-1: 3 per HMAC (2 for the 61-byte message, 1 outer), 3 for
+        // the blob MAC, 3 for the TPM's parameter digest over the ordinal
+        // and the 114-byte blob, and 1 for the PCR composite.
+        assert_eq!(blob.len(), 114);
+        assert_eq!(cost.sha1_compress, 4 * 3 + 3 + 3 + 1);
+        // SHA-256: 2 for the nonce block and 6 to update the DRBG state.
+        assert_eq!(cost.sha256_compress, 8);
+    }
+
     #[test]
     fn stale_even_nonce_fails_across_commands() {
         // A client that does NOT absorb the response (so its even nonce is
@@ -1114,7 +1133,7 @@ mod tests {
             nonce_odd: ca.nonce_odd,
             continue_session: true,
             hmac: crate::auth::auth_hmac(
-                &crate::auth::WELL_KNOWN_AUTH,
+                &flicker_crypto::hmac::Hmac::new(&crate::auth::WELL_KNOWN_AUTH),
                 &pd,
                 &resp.nonce_even,
                 &ca.nonce_odd,

@@ -365,8 +365,14 @@ pub fn audit_events_with_drops(events: &[Event], dropped: u64) -> AuditVerdict {
 /// Audits a live trace's flight record, consulting its
 /// [`DROPPED_EVENTS_COUNTER`] so ring-buffer overflow can never masquerade
 /// as a clean run.
+///
+/// The ring is audited where it lies, under one hold of the recorder's
+/// lock that also reads the dropped count: a recorder on another thread
+/// cannot evict an event between the two, and no event is copied.
 pub fn audit_trace(trace: &Trace) -> AuditVerdict {
-    audit_events_with_drops(&trace.events(), trace.counter(DROPPED_EVENTS_COUNTER))
+    let mut inner = trace.lock();
+    let dropped = inner.counter(DROPPED_EVENTS_COUNTER);
+    audit_events_with_drops(inner.events.make_contiguous(), dropped)
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Span-tree well-formedness under arbitrary phase-event interleavings.
+//! Span-tree well-formedness under arbitrary phase-event interleavings,
+//! and the in-place audit against the audit of a copied flight record.
 //!
 //! The recorder folds spans from `PhaseStart` / `PhaseEnd` events and
 //! promises a forest invariant: parents precede children, `depth` equals
@@ -8,6 +9,7 @@
 //! *any* interleaving of phase events and `reset`, including ends of names
 //! with no open span and ends that implicitly close dangling children.
 
+use flicker_trace::audit::{audit_events_with_drops, audit_trace};
 use flicker_trace::{EventKind, Span, Trace};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -118,4 +120,82 @@ fn targeted_interleaving_dangling_children() {
     // start, start, end(parent) — the classic dangling-child close.
     let ops = [(0u8, 0u16), (0, 1), (8, 0)];
     check_interleaving(&ops).expect("well-formed");
+}
+
+/// One flight-recorder event for the audit property, decoded from a
+/// `(selector, param)` pair: the kinds the auditor's invariants read, with
+/// the parameters that make them pass or fail.
+fn audit_event(selector: u8, param: u16) -> EventKind {
+    const SLB_BASE: u64 = 0x10_0000;
+    let len = u64::from(param % 3) * 0x800;
+    match selector % 12 {
+        0 => EventKind::SessionStart {
+            id: u64::from(param),
+        },
+        1 => EventKind::OsSuspend,
+        2 => EventKind::DevProtect {
+            base: SLB_BASE,
+            len: 0x1000 + len,
+        },
+        3 => EventKind::InterruptsChanged {
+            enabled: param.is_multiple_of(2),
+        },
+        4 => EventKind::PcrReset {
+            index: 17,
+            locality: if param.is_multiple_of(4) { 2 } else { 4 },
+        },
+        5 => EventKind::PcrExtend {
+            index: 17,
+            locality: if param.is_multiple_of(4) { 0 } else { 4 },
+        },
+        6 => EventKind::Skinit {
+            slb_base: SLB_BASE,
+            slb_len: 0x1000 + len,
+        },
+        7 => EventKind::TpmCommand {
+            ordinal: ["TPM_Unseal", "TPM_Seal"][usize::from(param % 2)].to_string(),
+            locality: 0,
+            dur_ns: u64::from(param),
+        },
+        8 => EventKind::Zeroize {
+            base: SLB_BASE,
+            len: 0x800 + len,
+        },
+        9 => EventKind::DevRelease { count: 1 },
+        10 => EventKind::OsResume,
+        _ => EventKind::Reboot,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `audit_trace` audits the ring in place, under the lock that reads
+    /// the dropped count; it must reach the verdict the audit of a copied
+    /// stream reaches, on whole rings and on rings `set_event_capacity`
+    /// truncated and wrapped, audited at any point of the recording.
+    #[test]
+    fn in_place_audit_matches_the_audit_of_a_copy(
+        ops in proptest::collection::vec((any::<u8>(), any::<u16>()), 0..96),
+        capacity in 1usize..48,
+        shrink_at in 0usize..128,
+    ) {
+        let trace = Trace::new();
+        for (i, &(selector, param)) in ops.iter().enumerate() {
+            if i == shrink_at {
+                trace.set_event_capacity(capacity);
+            }
+            trace.event(Duration::from_micros(i as u64), audit_event(selector, param));
+            if param.is_multiple_of(8) {
+                prop_assert_eq!(
+                    audit_trace(&trace),
+                    audit_events_with_drops(&trace.events(), trace.dropped_events())
+                );
+            }
+        }
+        prop_assert_eq!(
+            audit_trace(&trace),
+            audit_events_with_drops(&trace.events(), trace.dropped_events())
+        );
+    }
 }
