@@ -39,8 +39,7 @@ impl NativePal for RootkitDetectorPal {
 
         // Hash the kernel's measured region straight out of physical
         // memory (flat ring-0 segments; the detector's reason to exist).
-        let region = ctx.read_logical(base as u32, len as u32)?;
-        let digest = ctx.sha1(&region);
+        let digest = ctx.sha1_logical(base as u32, len as u32)?;
 
         // Extend into PCR 17 and emit as output.
         ctx.pcr17_extend(&digest)?;
@@ -341,6 +340,90 @@ mod tests {
         let bytecode = admin.query_bytecode(&mut os, &cert).unwrap();
         assert_eq!(native.kernel_hash, bytecode.kernel_hash);
         assert!(!native.clean && !bytecode.clean);
+    }
+
+    /// Runs `tamper` between a clean query and a second query with the
+    /// same detector, native then bytecode. The clean query leaves the
+    /// kernel's digest kept in physical memory; the tamper must drop it.
+    fn assert_detected_after_a_warm_query(seed: u8, tamper: impl Fn(&mut Os)) {
+        for bytecode in [false, true] {
+            let (mut os, cert, mut admin) = setup(seed);
+            let mut query = |os: &mut Os| {
+                let report = if bytecode {
+                    admin.query_bytecode(os, &cert)
+                } else {
+                    admin.query(os, &cert)
+                };
+                report.unwrap().clean
+            };
+            assert!(query(&mut os));
+            tamper(&mut os);
+            assert!(!query(&mut os), "bytecode detector: {bytecode}");
+        }
+    }
+
+    /// The byte at `addr` with every bit flipped.
+    fn flipped(os: &Os, addr: u64) -> [u8; 1] {
+        [os.machine().memory().read_u8(addr).unwrap() ^ 0xFF]
+    }
+
+    #[test]
+    fn hook_after_a_warm_query_detected() {
+        assert_detected_after_a_warm_query(50, |os| {
+            os.kernel_mut().hook_syscall(59, 0xEE11);
+            os.sync_kernel_to_memory();
+        });
+    }
+
+    #[test]
+    fn store_to_the_last_kernel_byte_after_a_warm_query_detected() {
+        assert_detected_after_a_warm_query(51, |os| {
+            let (base, len) = os.kernel_region();
+            let last = base + len as u64 - 1;
+            let byte = flipped(os, last);
+            os.machine_mut().memory_mut().write(last, &byte).unwrap();
+        });
+    }
+
+    #[test]
+    fn dma_to_the_first_kernel_byte_after_a_warm_query_detected() {
+        assert_detected_after_a_warm_query(52, |os| {
+            let (base, _) = os.kernel_region();
+            let byte = flipped(os, base);
+            os.machine_mut().dma_write(base, &byte).unwrap();
+        });
+    }
+
+    #[test]
+    fn hook_restored_by_a_power_cycle_after_a_warm_query_detected() {
+        assert_detected_after_a_warm_query(53, |os| {
+            os.kernel_mut().hook_syscall(59, 0xEE11);
+            os.reboot_after_power_loss();
+        });
+    }
+
+    #[test]
+    fn a_store_past_the_kernel_keeps_its_digest() {
+        let (mut os, cert, mut admin) = setup(54);
+        let (base, len) = os.kernel_region();
+        let mut compressions = |os: &mut Os| {
+            let before = flicker_crypto::cost::snapshot();
+            assert!(admin.query(os, &cert).unwrap().clean);
+            flicker_crypto::cost::snapshot()
+                .since(&before)
+                .sha1_compress
+        };
+        compressions(&mut os);
+        let warm = compressions(&mut os);
+        assert!(
+            warm < len as u64 / 64,
+            "a warm query hashes no kernel block"
+        );
+        os.machine_mut()
+            .memory_mut()
+            .write(base + len as u64, &[0xFF])
+            .unwrap();
+        assert_eq!(compressions(&mut os), warm);
     }
 
     #[test]

@@ -58,6 +58,19 @@ fn bench_session(c: &mut Criterion) {
         b.iter(|| run_session(&mut os, &hello, &params).unwrap());
     });
 
+    // The Table-1 detector on the kernel it was booted with: the first
+    // iteration hashes the kernel, the rest find its digest kept.
+    let detector = flicker_apps::detector_slb();
+    let (kbase, klen) = os.kernel_region();
+    let params = SessionParams {
+        inputs: [kbase.to_le_bytes(), (klen as u64).to_le_bytes()].concat(),
+        use_hashing_stub: true,
+        ..Default::default()
+    };
+    c.bench_function("session/rootkit_detector", |b| {
+        b.iter(|| run_session(&mut os, &detector, &params).unwrap());
+    });
+
     c.bench_function("session/slb_build_and_measure", |b| {
         b.iter(|| {
             let slb = native_slb();

@@ -182,6 +182,19 @@ impl<'a> PalContext<'a> {
         Ok(self.machine.memory().read(phys, len as usize)?.to_vec())
     }
 
+    /// [`PalContext::sha1`] of `len` bytes at logical address `offset`, hashed
+    /// in place ([`flicker_machine::PhysMemory::sha1`]; Table 1's "Hash of
+    /// Kernel"). A failed segment or range check charges and logs nothing.
+    pub fn sha1_logical(&mut self, offset: u32, len: u32) -> FlickerResult<[u8; 20]> {
+        let phys = self.data_seg.translate(offset, len, self.ring)?;
+        let digest = self.machine.memory_mut().sha1(phys, len as usize)?;
+        Ok(self.logged("sha1", |m| {
+            let cost = m.cpu_cost().sha1(len as usize);
+            m.charge_cpu(cost);
+            digest
+        }))
+    }
+
     /// Writes bytes at logical address `offset`.
     pub fn write_logical(&mut self, offset: u32, data: &[u8]) -> FlickerResult<()> {
         let phys = self
@@ -405,7 +418,7 @@ impl<'a> PalContext<'a> {
         self.machine.charge_cpu(d);
     }
 
-    /// SHA-1 with the hashing cost charged (Table 1's "Hash of Kernel").
+    /// SHA-1 of bytes the PAL holds, with the hashing cost charged.
     pub fn sha1(&mut self, data: &[u8]) -> [u8; 20] {
         self.logged("sha1", |m| {
             let cost = m.cpu_cost().sha1(data.len());
@@ -512,11 +525,10 @@ impl flicker_palvm::VmBus for VmBusAdapter<'_, '_> {
             //    logical r3 (the TPM-utilities hashing service; cost
             //    charged at the modelled CPU rate).
             2 => {
-                let data = self
+                let digest = self
                     .ctx
-                    .read_logical(regs[1], regs[2])
+                    .sha1_logical(regs[1], regs[2])
                     .map_err(|e| e.to_string())?;
-                let digest = self.ctx.sha1(&data);
                 self.ctx
                     .write_logical(regs[3], &digest)
                     .map_err(|e| e.to_string())

@@ -521,6 +521,61 @@ fn pal_uses_the_memory_management_module() {
     assert!(bytes.iter().all(|&b| b == 0));
 }
 
+/// Hashes the logical range its inputs name (offset and length, two
+/// little-endian u32s; no inputs hash nothing) and outputs whether that
+/// failed, then how many ops the PAL logged.
+struct HashLogicalPal;
+impl NativePal for HashLogicalPal {
+    fn run(&self, ctx: &mut PalContext<'_>) -> FlickerResult<()> {
+        let failed = match ctx.inputs() {
+            [] => false,
+            i => {
+                let word = |k: usize| u32::from_le_bytes(i[k..k + 4].try_into().unwrap());
+                ctx.sha1_logical(word(0), word(4)).is_err()
+            }
+        };
+        let ops = ctx.ops().len() as u8;
+        ctx.write_output(&[failed as u8, ops])
+    }
+}
+
+#[test]
+fn failed_sha1_logical_charges_and_logs_nothing() {
+    let mut os = test_os(36);
+    let (kbase, klen) = os.kernel_region();
+    // Past the OS-protection segment limit, past installed RAM through
+    // flat segments, and a range that hashes (the control).
+    for (os_protection, offset, len, fails) in [
+        (true, 0x10_0000, 20, true),
+        (false, u32::MAX - 19, 20, true),
+        (false, kbase as u32, klen as u32, false),
+    ] {
+        let slb = native_slb_with_options(
+            b"hash-logical-pal",
+            HashLogicalPal,
+            SlbOptions {
+                os_protection,
+                ..Default::default()
+            },
+        );
+        let idle = run_session(&mut os, &slb, &SessionParams::default()).unwrap();
+        let mut inputs = offset.to_le_bytes().to_vec();
+        inputs.extend_from_slice(&len.to_le_bytes());
+        let rec = run_session(&mut os, &slb, &SessionParams::with_inputs(inputs)).unwrap();
+        assert_eq!(rec.pal_result, Ok(()));
+        assert_eq!(idle.outputs, [0, 0]);
+        if fails {
+            assert_eq!(rec.outputs, [1, 0], "offset {offset:#x}");
+            assert!(rec.ops.is_empty());
+            assert_eq!(rec.timings.pal, idle.timings.pal, "no time charged");
+        } else {
+            assert_eq!(rec.outputs, [0, 1]);
+            assert_eq!(rec.op_log()[0].0, "sha1");
+            assert!(rec.timings.pal > idle.timings.pal);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Sealed handoff between sessions (§4.3.1).
 // ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@
 //! the repo's benches use. Behaviour:
 //!
 //! * invoked with `--bench` (what `cargo bench` passes): each benchmark
-//!   runs a short timed loop and prints its mean iteration time;
+//!   runs doubling batches until they have taken 300 ms and prints its
+//!   mean iteration time;
 //! * invoked any other way (e.g. built-and-run by `cargo test`): each
 //!   benchmark body runs exactly once, as a smoke test.
 
@@ -13,8 +14,6 @@ use std::time::{Duration, Instant};
 
 /// How long the measurement loop runs per benchmark in `--bench` mode.
 const MEASURE_BUDGET: Duration = Duration::from_millis(300);
-/// Iteration cap per benchmark in `--bench` mode.
-const MAX_ITERS: u64 = 1_000;
 
 /// Execution mode, decided once from argv.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,13 +53,17 @@ impl Bencher {
             Mode::Measure => {
                 // Warm-up.
                 std::hint::black_box(f());
+                // Batches of 1, 1, 2, 4, ... iterations: the clock is read
+                // once per batch, and the last batch is half the work timed.
                 let start = Instant::now();
                 let mut iters = 0u64;
-                while iters < MAX_ITERS && (iters == 0 || start.elapsed() < MEASURE_BUDGET) {
-                    std::hint::black_box(f());
-                    iters += 1;
+                while start.elapsed() < MEASURE_BUDGET {
+                    for _ in 0..iters.max(1) {
+                        std::hint::black_box(f());
+                    }
+                    iters += iters.max(1);
                 }
-                self.mean = Some(start.elapsed() / iters.max(1) as u32);
+                self.mean = Some(start.elapsed().div_f64(iters as f64));
                 self.iters = iters;
             }
         }
@@ -227,10 +230,18 @@ mod tests {
     }
 
     #[test]
-    fn measure_mode_reports_a_mean() {
-        let mut c = Criterion {
+    fn measure_mode_times_the_whole_budget() {
+        let mut b = Bencher {
             mode: Mode::Measure,
+            mean: None,
+            iters: 0,
         };
-        sample_bench(&mut c);
+        // About 0.1-1 µs an iteration, so the mean's nanosecond
+        // resolution loses under 1 % of the time timed.
+        b.iter(|| (0..256u64).map(std::hint::black_box).sum::<u64>());
+        assert!(b.iters > 1_000, "{} iterations", b.iters);
+        assert!(b.iters.is_power_of_two());
+        let mean = b.mean.expect("iter records a mean");
+        assert!(mean.mul_f64(b.iters as f64) >= MEASURE_BUDGET.mul_f64(0.99));
     }
 }

@@ -48,6 +48,8 @@ pub struct Shard {
     os: Os,
     cert: AikCertificate,
     ca_public: RsaPublicKey,
+    /// The provisioned kernel's hash, which every rootkit report must match.
+    known_good: [u8; 20],
     trace: Trace,
     /// Per-machine health state (owned here so a shard and its history
     /// travel together between threads).
@@ -74,6 +76,7 @@ impl Shard {
         let cert = os.aik_certificate().expect("just provisioned").clone();
         Shard {
             id,
+            known_good: known_good_hash(&os),
             os,
             cert,
             ca_public: pca.public_key().clone(),
@@ -250,9 +253,8 @@ impl Shard {
     // ----- the five §6 workloads (sweep-equivalent, self-contained) -------
 
     fn rootkit(&mut self, seed: u64) -> Result<(), String> {
-        let known_good = known_good_hash(&self.os);
         let link = self.link(seed);
-        let mut admin = Administrator::new(self.ca_public.clone(), known_good, link);
+        let mut admin = Administrator::new(self.ca_public.clone(), self.known_good, link);
         let report = if seed.is_multiple_of(2) {
             admin.query(&mut self.os, &self.cert)
         } else {
@@ -420,6 +422,20 @@ mod tests {
         }
         assert_eq!(shard.completed, 5);
         assert_eq!(shard.failures, 0);
+    }
+
+    #[test]
+    fn rootkit_attempt_fails_on_a_kernel_hooked_after_provisioning() {
+        let mut shard = Shard::new(2, 3000);
+        shard.os.kernel_mut().hook_syscall(59, 0xEE11);
+        shard.os.sync_kernel_to_memory();
+        for seed in [0, 1] {
+            let result = shard.run_attempt(AppKind::Rootkit, seed);
+            assert!(
+                result.is_err(),
+                "seed {seed} reported a hooked kernel clean"
+            );
+        }
     }
 
     #[test]

@@ -5,10 +5,16 @@ use crate::error::{MachineError, MachineResult};
 use flicker_faults::{fired, FaultInjector};
 use flicker_trace::{EventKind, Trace};
 
+/// Most digests [`PhysMemory::sha1`] keeps.
+const DIGEST_MEMO_CAP: usize = 4;
+
 /// The platform's physical RAM, addressed from 0.
 #[derive(Debug, Clone)]
 pub struct PhysMemory {
     bytes: Vec<u8>,
+    /// Physical range → SHA-1 of its bytes, most recent first, each kept
+    /// until a store overlaps the range ([`PhysMemory::sha1`]).
+    digests: Vec<(std::ops::Range<usize>, [u8; 20])>,
     injector: Option<FaultInjector>,
     tracer: Option<Trace>,
     clock: Option<SimClock>,
@@ -19,6 +25,7 @@ impl PhysMemory {
     pub fn new(size: usize) -> Self {
         PhysMemory {
             bytes: vec![0u8; size],
+            digests: Vec::new(),
             injector: None,
             tracer: None,
             clock: None,
@@ -76,6 +83,27 @@ impl PhysMemory {
         Ok(&self.bytes[r])
     }
 
+    /// SHA-1 of `len` bytes at `addr`, hashed in place and kept until
+    /// [`PhysMemory::write`] or [`PhysMemory::zeroize`] (the only stores)
+    /// overlaps the range. Callers charge the simulated hashing time.
+    pub fn sha1(&mut self, addr: u64, len: usize) -> MachineResult<[u8; 20]> {
+        let r = self.range(addr, len)?;
+        if let Some(pos) = self.digests.iter().position(|(k, _)| *k == r) {
+            self.digests[..=pos].rotate_right(1);
+            return Ok(self.digests[0].1);
+        }
+        let digest = flicker_crypto::sha1::sha1(&self.bytes[r.clone()]);
+        self.digests.insert(0, (r, digest));
+        self.digests.truncate(DIGEST_MEMO_CAP);
+        Ok(digest)
+    }
+
+    /// Drops every kept digest whose range overlaps the store `r`.
+    fn invalidate(&mut self, r: &std::ops::Range<usize>) {
+        self.digests
+            .retain(|(k, _)| k.end <= r.start || r.end <= k.start);
+    }
+
     /// Writes `data` at `addr`.
     pub fn write(&mut self, addr: u64, data: &[u8]) -> MachineResult<()> {
         let r = self.range(addr, data.len())?;
@@ -92,6 +120,7 @@ impl PhysMemory {
                 return Err(MachineError::MemWriteFault { addr });
             }
         }
+        self.invalidate(&r);
         self.bytes[r].copy_from_slice(data);
         if let Some(t) = &self.tracer {
             t.counter_add("mem.write_bytes", data.len() as u64);
@@ -107,6 +136,7 @@ impl PhysMemory {
     /// sweep either completes or the power-loss fault model applies instead.
     pub fn zeroize(&mut self, addr: u64, len: usize) -> MachineResult<()> {
         let r = self.range(addr, len)?;
+        self.invalidate(&r);
         self.bytes[r].fill(0);
         if let Some(t) = &self.tracer {
             t.event(
@@ -147,6 +177,7 @@ impl PhysMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flicker_crypto::sha1::sha1;
 
     #[test]
     fn read_write_round_trip() {
@@ -204,6 +235,85 @@ mod tests {
         m.write(8, &[9, 9, 9]).unwrap();
         // Zeroize is never faulted.
         m.zeroize(0, 64).unwrap();
+    }
+
+    /// SHA-1 compressions `f` runs on this thread.
+    fn compressions<T>(f: impl FnOnce() -> T) -> u64 {
+        let before = flicker_crypto::cost::snapshot();
+        std::hint::black_box(f());
+        flicker_crypto::cost::snapshot()
+            .since(&before)
+            .sha1_compress
+    }
+
+    /// 1 KB of `0x5A` with the digest of `[256, 768)` kept.
+    fn hashed() -> (PhysMemory, [u8; 20]) {
+        let mut m = PhysMemory::new(1024);
+        m.write(0, &[0x5A; 1024]).unwrap();
+        let digest = m.sha1(256, 512).unwrap();
+        assert_eq!(digest, sha1(m.read(256, 512).unwrap()));
+        (m, digest)
+    }
+
+    #[test]
+    fn sha1_keeps_the_digest_across_stores_beside_the_range() {
+        let (mut m, digest) = hashed();
+        m.write(255, &[1]).unwrap();
+        m.write(768, &[1]).unwrap();
+        m.zeroize(0, 256).unwrap();
+        m.zeroize(768, 256).unwrap();
+        assert_eq!(compressions(|| m.sha1(256, 512).unwrap()), 0);
+        assert_eq!(m.sha1(256, 512).unwrap(), digest);
+    }
+
+    #[test]
+    fn a_store_to_the_first_or_last_byte_drops_the_digest() {
+        for addr in [256, 767] {
+            let (mut m, _) = hashed();
+            m.write(addr, &[0xA5]).unwrap();
+            let fresh = sha1(m.read(256, 512).unwrap());
+            assert_eq!(m.sha1(256, 512).unwrap(), fresh, "write at {addr}");
+
+            let (mut m, _) = hashed();
+            m.zeroize(addr, 1).unwrap();
+            let fresh = sha1(m.read(256, 512).unwrap());
+            assert_eq!(m.sha1(256, 512).unwrap(), fresh, "zeroize at {addr}");
+        }
+    }
+
+    #[test]
+    fn a_dropped_store_keeps_the_digest() {
+        use flicker_faults::{Fault, FaultInjector, FaultPlan};
+        let (mut m, digest) = hashed();
+        m.set_fault_injector(FaultInjector::new(&FaultPlan::one(Fault::MemWriteFault {
+            skip: 0,
+        })));
+        assert!(m.write(300, &[0xA5]).is_err());
+        assert_eq!(compressions(|| m.sha1(256, 512).unwrap()), 0);
+        assert_eq!(m.sha1(256, 512).unwrap(), digest);
+    }
+
+    #[test]
+    fn sha1_checks_the_range_like_read() {
+        let mut m = PhysMemory::new(16);
+        assert!(matches!(
+            m.sha1(8, 9),
+            Err(MachineError::PhysOutOfBounds { addr: 8, len: 9 })
+        ));
+        assert!(m.sha1(u64::MAX, 1).is_err());
+        assert_eq!(m.sha1(16, 0).unwrap(), sha1(&[]));
+    }
+
+    #[test]
+    fn digest_memo_is_bounded_and_most_recent_first() {
+        let mut m = PhysMemory::new(1024);
+        for i in 0..DIGEST_MEMO_CAP as u64 {
+            m.sha1(i * 64, 64).unwrap();
+        }
+        assert_eq!(compressions(|| m.sha1(0, 64).unwrap()), 0);
+        m.sha1(512, 64).unwrap();
+        assert_eq!(compressions(|| m.sha1(0, 64).unwrap()), 0, "refreshed");
+        assert!(compressions(|| m.sha1(64, 64).unwrap()) > 0, "evicted");
     }
 
     #[test]

@@ -1,9 +1,17 @@
 //! Property-based tests for the machine substrate's isolation primitives.
 
+use flicker_crypto::sha1::sha1;
+use flicker_faults::{Fault, FaultInjector, FaultPlan};
 use flicker_machine::{
-    DeviceExclusionVector, PhysMemory, SegmentDescriptor, SegmentKind, PAGE_SIZE,
+    DeviceExclusionVector, Machine, MachineConfig, PhysMemory, SegmentDescriptor, SegmentKind,
+    PAGE_SIZE,
 };
 use proptest::prelude::*;
+
+/// The ranges the digest-memo property hashes: one more than the memo
+/// keeps, nested (`[32, 48)` in `[16, 80)`), overlapping (`[48, 112)`)
+/// and adjacent (`[0, 16)`, `[80, 112)`).
+const HASHED: [(u64, usize); 5] = [(16, 64), (32, 16), (80, 32), (0, 16), (48, 64)];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -105,6 +113,46 @@ proptest! {
             prop_assert_eq!(v, data[(probe - addr) as usize]);
         } else {
             prop_assert_eq!(v, 0);
+        }
+    }
+
+    /// Every digest `PhysMemory::sha1` returns is the SHA-1 of the bytes
+    /// there now, whatever stores ran since it was kept: plain,
+    /// fault-dropped and device writes, erasures and power cycles, of one
+    /// or two bytes on either side of a 16-byte boundary or of a whole
+    /// 16-byte cell, so stores touch, nest in and abut the hashed ranges.
+    #[test]
+    fn kept_digests_match_the_current_bytes(
+        ops in proptest::collection::vec(
+            (0u8..8, 0u64..8, 0u64..3, 0usize..3, any::<u8>()),
+            1..64,
+        ),
+    ) {
+        let mut m = Machine::new(MachineConfig {
+            mem_size: 256,
+            ..MachineConfig::fast_for_tests(1)
+        });
+        for &(kind, cell, nudge, size, fill) in &ops {
+            let addr = (cell * 16 + nudge).saturating_sub(1);
+            let data = vec![fill; [1, 2, 16][size]];
+            match kind {
+                0 => m.memory_mut().write(addr, &data).unwrap(),
+                1 => {
+                    m.set_fault_injector(FaultInjector::new(&FaultPlan::one(
+                        Fault::MemWriteFault { skip: 0 },
+                    )));
+                    prop_assert!(m.memory_mut().write(addr, &data).is_err());
+                    m.clear_fault_injector();
+                }
+                2 => m.memory_mut().zeroize(addr, data.len()).unwrap(),
+                3 => m.dma_write(addr, &data).unwrap(),
+                4 if fill < 64 => m.power_cycle(),
+                _ => {
+                    let (a, len) = HASHED[fill as usize % HASHED.len()];
+                    let digest = m.memory_mut().sha1(a, len).unwrap();
+                    prop_assert_eq!(digest, sha1(m.memory().read(a, len).unwrap()));
+                }
+            }
         }
     }
 
