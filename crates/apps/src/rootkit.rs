@@ -426,6 +426,82 @@ mod tests {
         assert_eq!(compressions(&mut os), warm);
     }
 
+    /// The host cost of checking one stub-launched detector quote. A cold
+    /// verifier hashes the 64 KB launch window and checks the AIK
+    /// certificate; a warm one has both kept, and does only the quote's
+    /// signature and the session's extends.
+    #[test]
+    fn a_warm_verifier_skips_the_launch_window_and_the_certificate() {
+        use flicker_core::launch_pcr17;
+        use flicker_crypto::cost::{snapshot, CostSnapshot};
+        fn cost(f: impl FnOnce()) -> CostSnapshot {
+            let before = snapshot();
+            f();
+            snapshot().since(&before)
+        }
+        let mut rng = XorShiftRng::new(1_055);
+        let mut ca = PrivacyCa::new(512, &mut rng);
+        let mut os = Os::boot(OsConfig::fast_for_tests(55));
+        let cert = os
+            .provision_attestation(&mut ca, "fleet-host")
+            .unwrap()
+            .clone();
+        let slb = detector_slb();
+        let (kbase, klen) = os.kernel_region();
+        let params = SessionParams {
+            inputs: [kbase.to_le_bytes(), (klen as u64).to_le_bytes()].concat(),
+            nonce: [9; 20],
+            use_hashing_stub: true,
+            ..Default::default()
+        };
+        let session = run_session(&mut os, &slb, &params).unwrap();
+        let quote = os.tqd_quote(params.nonce, &PcrSelection::pcr17()).unwrap();
+        let kernel_hash: [u8; 20] = session.outputs.as_slice().try_into().unwrap();
+        let expected = ExpectedSession {
+            slb: &slb,
+            slb_base: params.slb_base,
+            inputs: &params.inputs,
+            outputs: &session.outputs,
+            nonce: params.nonce,
+            used_hashing_stub: true,
+        };
+        // Both public keys build their Montgomery contexts on first use;
+        // build them here so each count below is only exponentiations.
+        let ca_public = ca.public_key().clone();
+        cert.verify(&ca_public).unwrap();
+        quote.verify(&cert.aik_public, &params.nonce).unwrap();
+        let cert_check = cost(|| cert.verify(&ca_public).unwrap());
+
+        let verifier = Verifier::new(ca_public);
+        let verify = || {
+            cost(|| {
+                verifier
+                    .verify_with_extends(&cert, &quote, &expected, &[kernel_hash])
+                    .unwrap()
+            })
+        };
+        // Warm: the quote's public operation (28 products for e = 65537),
+        // its composite and TPM_QUOTE_INFO hashes, and five extends.
+        let (cold, warm) = (verify(), verify());
+        assert_eq!((cold.sha1_compress, cold.modmul), (1_111, 56));
+        assert_eq!((warm.sha1_compress, warm.modmul), (7, 28));
+        // Cold adds the launch window (the stub, the 64 KB window and two
+        // extends) and the certificate (its 2-block body and 28 products).
+        let launch = cost(|| {
+            launch_pcr17(&expected);
+        });
+        assert_eq!(launch.sha1_compress, 1_102);
+        assert_eq!((cert_check.sha1_compress, cert_check.modmul), (2, 28));
+        assert_eq!(
+            cold.since(&warm),
+            CostSnapshot {
+                sha1_compress: launch.sha1_compress + cert_check.sha1_compress,
+                modmul: cert_check.modmul,
+                ..CostSnapshot::default()
+            }
+        );
+    }
+
     #[test]
     fn each_query_gets_a_fresh_nonce() {
         let (mut os, cert, mut admin) = setup(47);

@@ -30,12 +30,6 @@ fn bench_hashes(c: &mut Criterion) {
     }
     g.finish();
 
-    // The SKINIT-relevant case: hashing a full 64 KB SLB window.
-    c.bench_function("sha1/slb_window_64k", |b| {
-        let window = vec![0x5Au8; 64 * 1024];
-        b.iter(|| sha1(&window));
-    });
-
     // The HMAC-DRBG's hash, which draws every platform's kernel and keys.
     let mut g = c.benchmark_group("sha256");
     for size in [64usize, 4096, 65536] {

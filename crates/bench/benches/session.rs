@@ -4,10 +4,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flicker_core::{
-    run_session, FlickerResult, NativePal, PalContext, PalPayload, SessionParams, SlbImage,
-    SlbOptions,
+    run_session, ExpectedSession, FlickerResult, NativePal, PalContext, PalPayload, SessionParams,
+    SlbImage, SlbOptions, Verifier,
 };
+use flicker_crypto::rng::XorShiftRng;
 use flicker_os::{Os, OsConfig};
+use flicker_tpm::{PcrSelection, PrivacyCa};
 use flicker_trace::{audit, Trace};
 use std::sync::Arc;
 
@@ -79,6 +81,50 @@ fn bench_session(c: &mut Criterion) {
     });
 }
 
+/// One stub-launched detector quote checked by a fresh verifier, which
+/// hashes the 64 KB launch window and checks the AIK certificate, and by a
+/// warm one that has kept both.
+fn bench_verify(c: &mut Criterion) {
+    let mut rng = XorShiftRng::new(1);
+    let mut ca = PrivacyCa::new(512, &mut rng);
+    let mut os = Os::boot(OsConfig::fast_for_tests(1));
+    let cert = os
+        .provision_attestation(&mut ca, "bench-host")
+        .unwrap()
+        .clone();
+    let detector = flicker_apps::detector_slb();
+    let (kbase, klen) = os.kernel_region();
+    let params = SessionParams {
+        inputs: [kbase.to_le_bytes(), (klen as u64).to_le_bytes()].concat(),
+        use_hashing_stub: true,
+        ..Default::default()
+    };
+    let session = run_session(&mut os, &detector, &params).unwrap();
+    let quote = os.tqd_quote(params.nonce, &PcrSelection::pcr17()).unwrap();
+    let kernel_hash: [u8; 20] = session.outputs.as_slice().try_into().unwrap();
+    let expected = ExpectedSession {
+        slb: &detector,
+        slb_base: params.slb_base,
+        inputs: &params.inputs,
+        outputs: &session.outputs,
+        nonce: params.nonce,
+        used_hashing_stub: true,
+    };
+    // Each fresh verifier gets a clone of a key whose Montgomery context
+    // is built, so the cold row pays for the two kept checks only.
+    let ca_public = ca.public_key().clone();
+    cert.verify(&ca_public).unwrap();
+    let verify = |v: &Verifier| {
+        v.verify_with_extends(&cert, &quote, &expected, &[kernel_hash])
+            .unwrap()
+    };
+    c.bench_function("attest/verify_cold", |b| {
+        b.iter(|| verify(&Verifier::new(ca_public.clone())));
+    });
+    let warm = Verifier::new(ca_public.clone());
+    c.bench_function("attest/verify_warm", |b| b.iter(|| verify(&warm)));
+}
+
 /// The per-window audit of a storage-sized flight record: echo sessions
 /// recorded until the ring holds the 37,500 events of a 1,000-session
 /// replay-protected-storage window.
@@ -96,5 +142,5 @@ fn bench_audit(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_session, bench_audit);
+criterion_group!(benches, bench_session, bench_verify, bench_audit);
 criterion_main!(benches);

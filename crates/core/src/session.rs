@@ -221,19 +221,31 @@ impl Drop for Phase<'_> {
 /// The deterministic hashing-stub bytes (stands in for the paper's
 /// hash+extend stub PAL: "a cryptographic hash function and enough TPM
 /// support to perform a PCR Extend", 4 736 bytes).
-pub fn hashing_stub_bytes() -> Vec<u8> {
-    let mut bytes = vec![0u8; HASHING_STUB_SIZE];
-    bytes[0..2].copy_from_slice(&(HASHING_STUB_SIZE as u16).to_le_bytes());
-    bytes[2..4].copy_from_slice(&4u16.to_le_bytes());
-    let marker =
+pub fn hashing_stub_bytes() -> &'static [u8; HASHING_STUB_SIZE] {
+    &HASHING_STUB
+}
+
+/// Built at compile time: a header (size, entry offset), a marker, and a
+/// fixed pattern for the "code".
+static HASHING_STUB: [u8; HASHING_STUB_SIZE] = {
+    let marker: &[u8] =
         b"FLICKER-HASHING-STUB v1.0: sha1(full 64KB window) -> extend PCR17; then jump to PAL";
-    bytes[4..4 + marker.len()].copy_from_slice(marker);
-    // Fill the remainder with a fixed pattern (the "code").
-    for (i, b) in bytes.iter_mut().enumerate().skip(4 + marker.len()) {
-        *b = (i % 251) as u8;
+    let mut bytes = [0u8; HASHING_STUB_SIZE];
+    let size = (HASHING_STUB_SIZE as u16).to_le_bytes();
+    bytes[0] = size[0];
+    bytes[1] = size[1];
+    bytes[2] = 4;
+    let mut i = 4;
+    while i < HASHING_STUB_SIZE {
+        bytes[i] = if i < 4 + marker.len() {
+            marker[i - 4]
+        } else {
+            (i % 251) as u8
+        };
+        i += 1;
     }
     bytes
-}
+};
 
 /// RAII recovery for a suspended OS.
 ///
@@ -415,7 +427,7 @@ pub fn run_session(
     let slb_measurement = launch.measurement;
     debug_assert_eq!(
         slb_measurement,
-        flicker_crypto::sha1::sha1(&measured_at_base)
+        flicker_crypto::sha1::sha1(measured_at_base)
     );
     machine.check_power()?;
     let t_skinit = skinit.end();
@@ -575,15 +587,15 @@ pub fn run_session(
 /// Copies the SLB image (or hashing stub + image) and the inputs into the
 /// session's physical region. Returns the bytes SKINIT will measure at
 /// `slb_base`, the PAL's offset within the window, and any overflow bytes.
-fn stage_images(
+fn stage_images<'a>(
     os: &mut Os,
     slb_base: u64,
-    patched: &[u8],
+    patched: &'a [u8],
     params: &SessionParams,
-) -> FlickerResult<(Vec<u8>, usize, Vec<u8>)> {
+) -> FlickerResult<(&'a [u8], usize, Vec<u8>)> {
     let staged = if params.use_hashing_stub {
         let stub = hashing_stub_bytes();
-        os.machine_mut().memory_mut().write(slb_base, &stub)?;
+        os.machine_mut().memory_mut().write(slb_base, stub)?;
         // Zero the rest of the window, then place the app image above the
         // stub (still inside the DEV-protected, stub-measured 64 KB). A
         // large image continues in the overflow region above the parameter
@@ -601,10 +613,10 @@ fn stage_images(
                 .memory_mut()
                 .write(slb_base + OVERFLOW_OFFSET, &overflow)?;
         }
-        (stub, HASHING_STUB_SIZE, overflow)
+        (&stub[..], HASHING_STUB_SIZE, overflow)
     } else {
         os.machine_mut().memory_mut().write(slb_base, patched)?;
-        (patched.to_vec(), 0, Vec::new())
+        (patched, 0, Vec::new())
     };
     os.machine_mut()
         .memory_mut()

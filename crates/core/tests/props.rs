@@ -1,13 +1,17 @@
 //! Property-based tests for Flicker core: SLB builder invariants, the
-//! measurement chain, and a fuzz harness proving that *arbitrary* bytecode
-//! PALs stay contained by the OS-Protection module.
+//! measurement chain, a long-lived verifier against fresh ones, and a fuzz
+//! harness proving that *arbitrary* bytecode PALs stay contained by the
+//! OS-Protection module.
 
 use flicker_core::{
-    expected_pcr17_final, io_measurement, run_session, ExpectedSession, PalPayload, SessionParams,
-    SlbImage, SlbOptions, DEFAULT_SLB_BASE, REGION_LEN,
+    expected_pcr17_final, io_measurement, launch_pcr17, run_session, ExpectedSession, PalPayload,
+    SessionParams, SlbImage, SlbOptions, Verifier, DEFAULT_SLB_BASE, REGION_LEN,
 };
+use flicker_crypto::rng::XorShiftRng;
+use flicker_crypto::rsa::RsaPublicKey;
 use flicker_os::{Os, OsConfig};
 use flicker_palvm::{Insn, Opcode, Program, INSN_LEN};
+use flicker_tpm::{AikCertificate, PcrSelection, PrivacyCa, TpmQuote};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -88,6 +92,184 @@ proptest! {
             })
         };
         prop_assert_ne!(mk(&slb_a), mk(&slb_b));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Verifier memos: a long-lived verifier judges every claim as a fresh one.
+// ---------------------------------------------------------------------------
+
+/// Echoes its inputs.
+struct Echo;
+impl flicker_core::NativePal for Echo {
+    fn run(&self, ctx: &mut flicker_core::PalContext<'_>) -> flicker_core::FlickerResult<()> {
+        let data = ctx.inputs().to_vec();
+        ctx.write_output(&data)
+    }
+}
+
+/// One quoted session, as its challenger reports it.
+struct Claim {
+    slb: SlbImage,
+    params: SessionParams,
+    outputs: Vec<u8>,
+    pal_extends: Vec<[u8; 20]>,
+    quote: TpmQuote,
+}
+
+/// Quoted sessions of one platform and the certificates a verifier may be
+/// shown for its AIK.
+struct Attested {
+    ca_public: RsaPublicKey,
+    claims: Vec<Claim>,
+    /// The genuine certificate, the same AIK validly certified under
+    /// another label, and three forgeries: that label over the genuine
+    /// signature, one signature byte flipped, and another CA's signature.
+    certs: [AikCertificate; 5],
+}
+
+/// Runs and quotes each SLB variant the verifier memos must keep apart:
+/// native identities one byte apart, two load bases, both launch paths,
+/// the bytecode detector, and a large PAL with an overflow region. Five
+/// of them are stub-launched, one more than a verifier keeps.
+fn attested() -> Attested {
+    let mut rng = XorShiftRng::new(2_024);
+    let mut ca = PrivacyCa::new(512, &mut rng);
+    let mut os = Os::boot(OsConfig::fast_for_tests(77));
+    os.provision_attestation(&mut ca, "host").unwrap();
+    let genuine = os.aik_certificate().unwrap().clone();
+
+    let echo = |identity: &[u8]| {
+        SlbImage::build(
+            PalPayload::Native {
+                identity: identity.to_vec(),
+                program: Arc::new(Echo),
+            },
+            SlbOptions::default(),
+        )
+        .unwrap()
+    };
+    let detector = || {
+        SlbImage::build(
+            PalPayload::Bytecode(flicker_palvm::progs::kernel_hasher()),
+            SlbOptions {
+                os_protection: false,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+    };
+    let variants = [
+        (echo(b"memo-pal-0"), DEFAULT_SLB_BASE, true),
+        (echo(b"memo-pal-1"), DEFAULT_SLB_BASE, true),
+        (echo(b"memo-pal-0"), 0x30_0000, true),
+        (echo(b"memo-pal-0"), DEFAULT_SLB_BASE, false),
+        (detector(), DEFAULT_SLB_BASE, true),
+        (detector(), DEFAULT_SLB_BASE, false),
+        (echo(&[0xC3; 100 * 1024]), DEFAULT_SLB_BASE, true),
+    ];
+    let (kbase, klen) = os.kernel_region();
+    let claims = variants
+        .into_iter()
+        .enumerate()
+        .map(|(i, (slb, slb_base, use_hashing_stub))| {
+            // The detector hashes the kernel and extends the digest.
+            let detector = matches!(slb.payload(), PalPayload::Bytecode(_));
+            let params = SessionParams {
+                inputs: if detector {
+                    [kbase.to_le_bytes(), (klen as u64).to_le_bytes()].concat()
+                } else {
+                    b"in".to_vec()
+                },
+                nonce: [i as u8 + 1; 20],
+                slb_base,
+                use_hashing_stub,
+            };
+            let rec = run_session(&mut os, &slb, &params).unwrap();
+            assert_eq!(rec.pal_result, Ok(()));
+            let quote = os.tqd_quote(params.nonce, &PcrSelection::pcr17()).unwrap();
+            let pal_extends = if detector {
+                vec![rec.outputs.as_slice().try_into().unwrap()]
+            } else {
+                Vec::new()
+            };
+            Claim {
+                slb,
+                params,
+                outputs: rec.outputs,
+                pal_extends,
+                quote,
+            }
+        })
+        .collect();
+
+    let ek = os.machine().tpm().ek_public().clone();
+    let relabeled = ca.certify_aik(&ek, &genuine.aik_public, "other").unwrap();
+    let mut flipped = genuine.clone();
+    flipped.signature[7] ^= 1;
+    let mut other_ca = PrivacyCa::new(512, &mut rng);
+    other_ca.register_ek(ek.clone());
+    let foreign = other_ca
+        .certify_aik(&ek, &genuine.aik_public, &genuine.label)
+        .unwrap();
+    let forged_label = AikCertificate {
+        signature: genuine.signature.clone(),
+        ..relabeled.clone()
+    };
+    Attested {
+        ca_public: ca.public_key().clone(),
+        claims,
+        certs: [genuine, relabeled, forged_label, flipped, foreign],
+    }
+}
+
+thread_local! {
+    static ATTESTED: Attested = attested();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every verdict of one long-lived verifier equals a fresh verifier's
+    /// verdict on the same call, over genuine and tampered claims (wrong
+    /// output, wrong nonce) shown with genuine and forged certificates;
+    /// and every launch value it keeps equals [`launch_pcr17`].
+    #[test]
+    fn a_long_lived_verifier_agrees_with_a_fresh_one(
+        calls in proptest::collection::vec((0usize..7, 0usize..8, 0u8..4), 1..24),
+    ) {
+        ATTESTED.with(|a| {
+            let kept = Verifier::new(a.ca_public.clone());
+            for &(claim, pick, tamper) in &calls {
+                let c = &a.claims[claim];
+                // The genuine certificate half the time, so most calls
+                // reach the launch value.
+                let cert = pick.saturating_sub(3);
+                let valid = tamper < 2 && cert < 2;
+                let cert = &a.certs[cert];
+                let mut expected = ExpectedSession {
+                    slb: &c.slb,
+                    slb_base: c.params.slb_base,
+                    inputs: &c.params.inputs,
+                    outputs: &c.outputs,
+                    nonce: c.params.nonce,
+                    used_hashing_stub: c.params.use_hashing_stub,
+                };
+                match tamper {
+                    2 => expected.outputs = b"forged",
+                    3 => expected.nonce[0] ^= 1,
+                    _ => {}
+                }
+                let verdict = |v: &Verifier| {
+                    v.verify_with_extends(cert, &c.quote, &expected, &c.pal_extends)
+                };
+                let fresh = verdict(&Verifier::new(a.ca_public.clone()));
+                prop_assert_eq!(verdict(&kept), fresh.clone());
+                prop_assert_eq!(kept.launch_pcr17(&expected), launch_pcr17(&expected));
+                prop_assert_eq!(fresh.is_ok(), valid);
+            }
+            Ok(())
+        })?;
     }
 }
 

@@ -178,6 +178,19 @@ fn hashing_stub_chain_verifies() {
     assert_eq!(rec.pcr17_final, expected);
 }
 
+/// The stub's bytes are part of every stub-launched PCR 17 chain, so a
+/// change to them is a change to every verifier's expectation.
+#[test]
+fn hashing_stub_bytes_are_pinned() {
+    let stub = flicker_core::hashing_stub_bytes();
+    assert_eq!(stub.len(), 4_736);
+    assert_eq!(
+        flicker_crypto::hex::encode(&flicker_crypto::sha1::sha1(stub)),
+        "7d15798af288eebf8b1b5181a5efe1f348366cfe"
+    );
+    assert!(std::ptr::eq(stub, flicker_core::hashing_stub_bytes()));
+}
+
 #[test]
 fn faulting_pal_still_resumes_os() {
     struct Crasher;

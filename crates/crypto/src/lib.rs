@@ -15,7 +15,8 @@
 //! * RSA: [`rsa`] (keygen / raw ops), [`pkcs1`] (v1.5 padding, sign/verify)
 //! * Password hashing: [`md5crypt`] (the `$1$` scheme used in `/etc/passwd`)
 //! * Deterministic random generation: [`drbg`] (HMAC-DRBG per SP 800-90A)
-//! * Utilities: [`hex`], constant-time comparison in [`ct`]
+//! * Utilities: [`hex`], constant-time comparison in [`ct`], and the bounded
+//!   exact-key [`memo`] the measurement and verifier caches share
 //!
 //! These implementations favour clarity and auditability over speed, like
 //! the original PAL libraries did, except on the measured host hot paths:
@@ -37,6 +38,7 @@ pub mod hex;
 pub mod hmac;
 pub mod md5;
 pub mod md5crypt;
+pub mod memo;
 pub mod montgomery;
 pub mod mpint;
 pub mod pkcs1;

@@ -14,6 +14,7 @@ use crate::error::{MachineError, MachineResult};
 use crate::memory::PhysMemory;
 use crate::retry::RetryPolicy;
 use crate::skinit::{SkinitCostModel, SLB_MAX_LEN};
+use flicker_crypto::memo::Memo;
 use flicker_crypto::sha1::sha1;
 use flicker_faults::{fired, FaultInjector};
 use flicker_tpm::{ClientSession, Tpm, TpmConfig, TpmError, TpmResult};
@@ -118,8 +119,8 @@ pub struct Machine {
     /// it need not open a fresh `TPM_OIAP` (§7.6). Dropped by
     /// [`Machine::drop_parked_session`].
     parked_session: Option<ClientSession>,
-    /// Image bytes → SHA-1, most recent first ([`Machine::sha1_memoized`]).
-    measure_memo: Vec<(Vec<u8>, [u8; 20])>,
+    /// Image bytes → SHA-1 ([`Machine::sha1_memoized`]).
+    measure_memo: Memo<Vec<u8>, [u8; 20], MEASURE_MEMO_CAP>,
 }
 
 impl Machine {
@@ -146,7 +147,7 @@ impl Machine {
             tracer: None,
             power_lost: false,
             parked_session: None,
-            measure_memo: Vec::new(),
+            measure_memo: Memo::default(),
         }
     }
 
@@ -180,14 +181,7 @@ impl Machine {
     /// image every session; a hit skips only the host-side hashing, so
     /// callers charge the simulated hashing time either way.
     pub fn sha1_memoized(&mut self, bytes: &[u8]) -> ([u8; 20], bool) {
-        if let Some(pos) = self.measure_memo.iter().position(|(b, _)| b == bytes) {
-            self.measure_memo[..=pos].rotate_right(1);
-            return (self.measure_memo[0].1, true);
-        }
-        let digest = sha1(bytes);
-        self.measure_memo.insert(0, (bytes.to_vec(), digest));
-        self.measure_memo.truncate(MEASURE_MEMO_CAP);
-        (digest, false)
+        self.measure_memo.get_or_insert_with(bytes, || sha1(bytes))
     }
 
     // ----- tracing --------------------------------------------------------

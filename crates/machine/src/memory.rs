@@ -2,6 +2,8 @@
 
 use crate::clock::SimClock;
 use crate::error::{MachineError, MachineResult};
+use flicker_crypto::memo::Memo;
+use flicker_crypto::sha1::sha1;
 use flicker_faults::{fired, FaultInjector};
 use flicker_trace::{EventKind, Trace};
 
@@ -12,9 +14,9 @@ const DIGEST_MEMO_CAP: usize = 4;
 #[derive(Debug, Clone)]
 pub struct PhysMemory {
     bytes: Vec<u8>,
-    /// Physical range → SHA-1 of its bytes, most recent first, each kept
-    /// until a store overlaps the range ([`PhysMemory::sha1`]).
-    digests: Vec<(std::ops::Range<usize>, [u8; 20])>,
+    /// Physical range → SHA-1 of its bytes, each kept until a store
+    /// overlaps the range ([`PhysMemory::sha1`]).
+    digests: Memo<std::ops::Range<usize>, [u8; 20], DIGEST_MEMO_CAP>,
     injector: Option<FaultInjector>,
     tracer: Option<Trace>,
     clock: Option<SimClock>,
@@ -25,7 +27,7 @@ impl PhysMemory {
     pub fn new(size: usize) -> Self {
         PhysMemory {
             bytes: vec![0u8; size],
-            digests: Vec::new(),
+            digests: Memo::default(),
             injector: None,
             tracer: None,
             clock: None,
@@ -88,20 +90,14 @@ impl PhysMemory {
     /// overlaps the range. Callers charge the simulated hashing time.
     pub fn sha1(&mut self, addr: u64, len: usize) -> MachineResult<[u8; 20]> {
         let r = self.range(addr, len)?;
-        if let Some(pos) = self.digests.iter().position(|(k, _)| *k == r) {
-            self.digests[..=pos].rotate_right(1);
-            return Ok(self.digests[0].1);
-        }
-        let digest = flicker_crypto::sha1::sha1(&self.bytes[r.clone()]);
-        self.digests.insert(0, (r, digest));
-        self.digests.truncate(DIGEST_MEMO_CAP);
-        Ok(digest)
+        let bytes = &self.bytes[r.clone()];
+        Ok(self.digests.get_or_insert_with(&r, || sha1(bytes)).0)
     }
 
     /// Drops every kept digest whose range overlaps the store `r`.
     fn invalidate(&mut self, r: &std::ops::Range<usize>) {
         self.digests
-            .retain(|(k, _)| k.end <= r.start || r.end <= k.start);
+            .retain(|k| k.end <= r.start || r.end <= k.start);
     }
 
     /// Writes `data` at `addr`.

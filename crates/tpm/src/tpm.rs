@@ -899,6 +899,32 @@ mod tests {
         );
     }
 
+    /// Host cost of one `TPM_Quote`: the AIK signs by CRT, one
+    /// exponentiation per prime by an exponent of about half the key's
+    /// length. An `L`-bit exponent costs `2^w + (⌈L/w⌉ − 1)·(w + 1)`
+    /// Montgomery products, with `w = 5` at both sizes here; nothing else
+    /// in the command multiplies. So a 1024-bit AIK whose two exponents
+    /// have 511 or 512 bits costs `2 · (32 + 102 · 6) = 1,288` (attest's
+    /// quote), one with a 506–510-bit exponent `644 + 638 = 1,282`, and a
+    /// 512-bit AIK with two 256-bit exponents `2 · (32 + 51 · 6) = 676`.
+    #[test]
+    fn quote_costs_two_crt_exponentiations() {
+        for (key_bits, seed, modmuls) in [(1024, 1, 1_288), (1024, 3, 1_282), (512, 1, 676)] {
+            let mut rng = XorShiftRng::new(85);
+            let mut ca = PrivacyCa::new(512, &mut rng);
+            let config = TpmConfig {
+                key_bits,
+                ..TpmConfig::fast_for_tests(seed)
+            };
+            let mut t = Tpm::provisioned(config, &mut ca);
+            let (aik, _) = t.make_identity(&ca, "host").unwrap();
+            let before = flicker_crypto::cost::snapshot();
+            t.quote(aik, [5; 20], &PcrSelection::pcr17()).unwrap();
+            let cost = flicker_crypto::cost::snapshot().since(&before);
+            assert_eq!(cost.modmul, modmuls, "{key_bits}-bit AIK, seed {seed}");
+        }
+    }
+
     #[test]
     fn quote_with_bad_handle_fails() {
         let mut t = tpm();
