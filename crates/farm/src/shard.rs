@@ -405,6 +405,8 @@ impl NativePal for StoragePal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flicker_crypto::{hex, sha256::sha256};
+    use flicker_faults::FaultPlan;
 
     #[test]
     fn shards_are_send() {
@@ -422,6 +424,47 @@ mod tests {
         }
         assert_eq!(shard.completed, 5);
         assert_eq!(shard.failures, 0);
+        assert_eq!(
+            flight_pin(&shard),
+            (
+                26_645,
+                "e9d398abd285869fb395d02c7879c2df17f3438cf4d2657d434964eaa7693880".into()
+            )
+        );
+    }
+
+    /// Byte length and SHA-256 of the shard's flight as JSONL. One shard on
+    /// its own virtual clock repeats byte for byte, so these pins catch a
+    /// workload that records differently; a change meant to move one
+    /// updates it and names the cause in CHANGES.md.
+    fn flight_pin(shard: &Shard) -> (usize, String) {
+        let jsonl = flicker_trace::export::events_jsonl(shard.trace());
+        (jsonl.len(), hex::encode(&sha256(jsonl.as_bytes())))
+    }
+
+    #[test]
+    fn a_faulted_pass_repeats_byte_for_byte() {
+        // Seeds 10–14 cut the power outside a session on the rootkit and
+        // SSH attempts (the shard reboots each time) and fail distcomp and
+        // CA; storage completes.
+        let mut shard = Shard::new(3, 10);
+        for (i, app) in AppKind::ALL.into_iter().enumerate() {
+            let seed = 10 + i as u64;
+            shard.arm(FaultInjector::new(&FaultPlan::seeded(seed)));
+            let _ = shard.run_attempt(app, seed);
+            shard.disarm();
+            if shard.power_lost() {
+                shard.reboot();
+            }
+        }
+        assert_eq!((shard.completed, shard.failures), (1, 4));
+        assert_eq!(
+            flight_pin(&shard),
+            (
+                17_223,
+                "a11a6b36424547cf2878c1820d03fb2b8ef77c303944b013b6d5b3b52b999d1f".into()
+            )
+        );
     }
 
     #[test]
