@@ -33,8 +33,8 @@ fn main() -> ExitCode {
                 None => return usage("--seed needs a number"),
             },
             "--schedules" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => schedules = n,
-                None => return usage("--schedules needs a count"),
+                Some(n) if n > 0 => schedules = n,
+                _ => return usage("--schedules needs a positive count"),
             },
             "--quick" => quick = true,
             other => return usage(&format!("unknown argument {other:?}")),

@@ -100,11 +100,12 @@ impl SweepReport {
     }
 }
 
-/// Runs `schedules` seeded schedules starting at `base_seed`.
+/// Runs `schedules` seeded schedules starting at `base_seed`; the seeds
+/// wrap past `u64::MAX` to 0.
 pub fn run_sweep(base_seed: u64, schedules: u64) -> SweepReport {
     let mut report = SweepReport::default();
-    for seed in base_seed..base_seed + schedules {
-        let result = run_schedule(seed);
+    for i in 0..schedules {
+        let result = run_schedule(base_seed.wrapping_add(i));
         match &result.outcome {
             Outcome::Survived => report.survived += 1,
             Outcome::Recovered(_) => report.recovered += 1,

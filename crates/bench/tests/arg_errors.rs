@@ -43,6 +43,7 @@ fn fault_sweep_argument_errors_exit_2() {
             &["--seed"],
             &["--seed", "x"],
             &["--schedules"],
+            &["--schedules", "0"],
         ],
     );
 }

@@ -48,3 +48,11 @@ fn two_hundred_seeded_schedules_produce_no_violations() {
         "schedule lines changed:\n{lines}"
     );
 }
+
+#[test]
+fn a_sweep_from_the_last_seed_wraps_to_zero() {
+    let report = run_sweep(u64::MAX, 2);
+    let seeds: Vec<u64> = report.results.iter().map(|r| r.seed).collect();
+    assert_eq!(seeds, [u64::MAX, 0]);
+    assert_eq!(report.violations, 0);
+}
