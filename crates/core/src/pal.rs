@@ -129,33 +129,14 @@ impl<'a> PalContext<'a> {
         &self.ops
     }
 
-    /// The op events as `(operation, simulated duration)` tuples — the
-    /// pre-trace view of [`PalContext::ops`], kept for harness code that
-    /// only cares about name + duration.
-    pub fn op_log(&self) -> Vec<(&'static str, Duration)> {
-        self.ops.iter().map(|e| (e.name, e.duration)).collect()
-    }
-
     pub(crate) fn take_ops(&mut self) -> Vec<OpEvent> {
         std::mem::take(&mut self.ops)
     }
 
-    /// Runs a machine operation, recording its simulated duration in the
-    /// op log under `name` (and in the platform trace's histogram of the
-    /// same name, when one is installed).
+    /// [`PalContext::logged_self`] for an operation that needs only the
+    /// machine.
     fn logged<T>(&mut self, name: &'static str, f: impl FnOnce(&mut Machine) -> T) -> T {
-        let start = self.machine.clock().now();
-        let out = f(self.machine);
-        let dt = self.machine.clock().now() - start;
-        self.ops.push(OpEvent {
-            name,
-            at: start,
-            duration: dt,
-        });
-        if let Some(t) = self.machine.tracer() {
-            t.observe(name, dt);
-        }
-        out
+        self.logged_self(name, |s| f(s.machine))
     }
 
     /// The privilege ring the PAL executes in.
@@ -239,8 +220,10 @@ impl<'a> PalContext<'a> {
         self.rng.as_mut().expect("just set")
     }
 
-    /// Like [`PalContext::logged`], but for operations that need the whole
-    /// context (e.g. the authorized helpers below).
+    /// Runs an operation on the whole context (e.g. the authorized helpers
+    /// below), recording its simulated duration in the op log under `name`
+    /// and in the platform trace's histogram of the same name, when one is
+    /// installed. Every logged PAL operation goes through here.
     fn logged_self<T>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> T) -> T {
         let start = self.machine.clock().now();
         let out = f(self);
