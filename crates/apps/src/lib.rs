@@ -10,9 +10,14 @@
 //!   (§6.3.1, Figure 7, Figure 9).
 //! * [`ca`] — secret + integrity-protected state: a certificate authority
 //!   whose signing key only a PAL ever touches (§6.3.2).
+//!
+//! [`drivers`] holds one end-to-end run of each, plus a replay-protected
+//! storage workload (§4.3.2), for the harnesses that drive them all: the
+//! fault sweep, the farm and the perf baseline.
 
 pub mod ca;
 pub mod distcomp;
+pub mod drivers;
 pub mod rootkit;
 pub mod ssh;
 
@@ -21,5 +26,6 @@ pub use distcomp::{
     flicker_efficiency, replication_efficiency, Assignment, BoincClient, BoincServer, JobState,
     SliceReport, WorkUnit,
 };
+pub use drivers::AppKind;
 pub use rootkit::{detector_slb, known_good_hash, Administrator, DetectionReport};
 pub use ssh::{LoginOutcome, PasswdEntry, SetupTranscript, SshClient, SshServer};

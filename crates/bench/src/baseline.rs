@@ -22,22 +22,13 @@
 
 use crate::json::Value;
 use crate::profile::MAX_RECONCILIATION_ERROR;
-use crate::{eval_os, faultsweep::APPS, provisioned_eval_os};
-use flicker_apps::{
-    known_good_hash, Administrator, BoincClient, Csr, FlickerCa, IssuancePolicy, PasswdEntry,
-    SshClient, SshServer, WorkUnit,
-};
-use flicker_core::{
-    run_session, FlickerResult, NativePal, PalContext, PalPayload, ReplayProtectedStorage,
-    SessionParams, SlbImage, SlbOptions, PHASE_SPAN_NAMES,
-};
+use crate::{eval_os, provisioned_eval_os};
+use flicker_apps::{drivers, known_good_hash, Administrator, AppKind, SshClient};
+use flicker_core::PHASE_SPAN_NAMES;
 use flicker_crypto::rng::XorShiftRng;
-use flicker_crypto::RsaPrivateKey;
 use flicker_os::{NetLink, Os};
-use flicker_tpm::SealedBlob;
 use flicker_trace::{audit, DurationHistogram, Trace};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Schema identifier stamped into (and required of) every baseline file.
@@ -51,8 +42,9 @@ pub const MIN_FULL_SESSIONS: u64 = 200;
 /// storage 3 (init + update + read).
 pub const SESSIONS_PER_ITERATION: u64 = 1 + 2 + 2 + 2 + 3;
 
-/// NV index for the baseline's storage workload (distinct from any test's
-/// or the fault sweep's).
+/// The storage workload's PAL identity and NV index (distinct from any
+/// test's or the fault sweep's).
+const STORAGE_PAL: &[u8] = b"baseline-storage-pal";
 const BASELINE_NV_INDEX: u32 = 0x0001_5000;
 
 const SSH_PASSWORD: &[u8] = b"baseline-hunter2";
@@ -111,21 +103,27 @@ pub fn run_baseline_traced(cfg: &BaselineConfig) -> (Value, Trace) {
 }
 
 // ---------------------------------------------------------------------------
-// Workloads. Each mirrors the corresponding fault-sweep trial, minus the
-// injector: the platform is healthy, so every protocol step must succeed.
+// Workloads: the shared §6 drivers on a healthy platform, so every protocol
+// step must succeed.
 // ---------------------------------------------------------------------------
 
-/// Virtual-clock stopwatch around one application iteration. The latency
-/// goes into the trace's histogram (for exporters) *and* comes back raw,
-/// so the report can compute exact percentiles.
+/// Virtual-clock stopwatch around one application iteration, which must
+/// succeed. The latency goes into the trace's histogram (for exporters)
+/// *and* comes back raw, so the report can compute exact percentiles.
 fn timed_iteration(
     trace: &Trace,
     app: &'static str,
     os: &mut Os,
-    f: impl FnOnce(&mut Os),
+    f: impl FnOnce(&mut Os) -> Result<(), String>,
 ) -> Duration {
     let t0 = os.machine().clock().now();
-    f(os);
+    if let Err(e) = f(os) {
+        assert!(
+            !crate::vm_safety_fault(&e),
+            "verified session hit a VM safety fault: {e}"
+        );
+        panic!("{app} failed: {e}");
+    }
     let dt = os.machine().clock().now() - t0;
     trace.observe(app, dt);
     dt
@@ -137,30 +135,16 @@ fn run_rootkit(trace: &Trace, iterations: usize) -> Vec<Duration> {
     let mut link = NetLink::paper_verifier_link(11);
     link.set_tracer(trace.clone());
     link.set_clock(os.clock());
-    let known_good = known_good_hash(&os);
-    let mut admin = Administrator::new(ca_public, known_good, link);
-    let mut samples = Vec::with_capacity(iterations);
-    for i in 0..iterations {
-        samples.push(timed_iteration(trace, "app.rootkit", &mut os, |os| {
-            // Alternate native / verified-bytecode detectors so the
-            // baseline also covers PalVM sessions end to end.
-            let report = if i.is_multiple_of(2) {
-                admin.query(os, &cert)
-            } else {
-                admin.query_bytecode(os, &cert)
-            }
-            .unwrap_or_else(|e| {
-                let msg = e.to_string();
-                assert!(
-                    !crate::vm_safety_fault(&msg),
-                    "verified session hit a VM safety fault: {msg}"
-                );
-                panic!("rootkit query failed: {msg}");
-            });
-            assert!(report.clean, "pristine kernel reported compromised");
-        }));
-    }
-    samples
+    let mut admin = Administrator::new(ca_public, known_good_hash(&os), link);
+    // Alternate native / verified-bytecode detectors so the baseline also
+    // covers PalVM sessions end to end.
+    (0..iterations)
+        .map(|i| {
+            timed_iteration(trace, "app.rootkit", &mut os, |os| {
+                drivers::rootkit(os, &mut admin, &cert, !i.is_multiple_of(2))
+            })
+        })
+        .collect()
 }
 
 fn run_ssh(trace: &Trace, iterations: usize) -> Vec<Duration> {
@@ -171,150 +155,48 @@ fn run_ssh(trace: &Trace, iterations: usize) -> Vec<Duration> {
     link.set_clock(os.clock());
     let mut client = SshClient::new(ca_public);
     let mut rng = XorShiftRng::new(0xBA5E_55E8);
-    let mut samples = Vec::with_capacity(iterations);
-    for _ in 0..iterations {
-        // A fresh server per iteration, as each connection regenerates its
-        // session keypair (the Figure-9a workload).
-        let mut server = SshServer::new(vec![PasswdEntry::new("alice", SSH_PASSWORD, b"fl1ck3r")]);
-        samples.push(timed_iteration(trace, "app.ssh", &mut os, |os| {
-            let transcript = server
-                .connection_setup(os, &mut link, [0x55; 20])
-                .expect("ssh connection setup");
-            client.verify_setup(&cert, &transcript).expect("ssh verify");
-            let nonce = server.issue_nonce();
-            let ciphertext = client
-                .encrypt_password(SSH_PASSWORD, &nonce, &mut rng)
-                .expect("ssh encrypt");
-            let outcome = server
-                .login(os, &mut link, "alice", &ciphertext, nonce)
-                .expect("ssh login");
-            assert!(outcome.accepted, "correct password rejected");
-        }));
-    }
-    samples
+    // Each connection gets a fresh server, as each regenerates its session
+    // keypair (the Figure-9a workload).
+    (0..iterations)
+        .map(|_| {
+            timed_iteration(trace, "app.ssh", &mut os, |os| {
+                drivers::ssh(os, &mut link, &mut client, &cert, SSH_PASSWORD, &mut rng)
+            })
+        })
+        .collect()
 }
 
 fn run_distcomp(trace: &Trace, iterations: usize) -> Vec<Duration> {
     let mut os = eval_os(13);
     os.set_tracer(trace.clone());
-    let mut samples = Vec::with_capacity(iterations);
-    for _ in 0..iterations {
-        samples.push(timed_iteration(trace, "app.distcomp", &mut os, |os| {
-            let unit = WorkUnit {
-                n: 91,
-                lo: 2,
-                hi: 64,
-            };
-            let (mut client, _) = BoincClient::start(os, unit).expect("boinc start");
-            client
-                .run_slice(os, Duration::from_millis(50))
-                .expect("boinc slice");
-        }));
-    }
-    samples
+    (0..iterations)
+        .map(|_| timed_iteration(trace, "app.distcomp", &mut os, drivers::distcomp))
+        .collect()
 }
 
 fn run_ca(trace: &Trace, iterations: usize) -> Vec<Duration> {
     let mut os = eval_os(14);
     os.set_tracer(trace.clone());
     let mut rng = XorShiftRng::new(0xBA5E_00CA);
-    let mut samples = Vec::with_capacity(iterations);
-    for _ in 0..iterations {
-        samples.push(timed_iteration(trace, "app.ca", &mut os, |os| {
-            let policy = IssuancePolicy {
-                allowed_suffixes: vec![".corp.example".into()],
-                max_certificates: 8,
-            };
-            let (mut ca, _) = FlickerCa::init(os, policy).expect("ca init");
-            let (subject_key, _) = RsaPrivateKey::generate(512, &mut rng);
-            let csr = Csr {
-                subject: "baseline.corp.example".into(),
-                public_key: subject_key.public_key().clone(),
-            };
-            let report = ca.sign(os, &csr).expect("ca sign");
-            report
-                .certificate
-                .verify(&ca.public_key)
-                .expect("issued certificate verifies");
-        }));
-    }
-    samples
-}
-
-enum StoreAction {
-    Init { data: Vec<u8> },
-    Update { data: Vec<u8> },
-    Read,
-}
-
-struct StoragePal {
-    action: StoreAction,
-}
-
-impl NativePal for StoragePal {
-    fn run(&self, ctx: &mut PalContext<'_>) -> FlickerResult<()> {
-        let store = ReplayProtectedStorage::new(BASELINE_NV_INDEX);
-        match &self.action {
-            StoreAction::Init { data } => {
-                store.setup(ctx, &[0u8; 20])?;
-                let blob = store.seal(ctx, data)?;
-                ctx.write_output(blob.as_bytes())
-            }
-            StoreAction::Update { data } => {
-                let old = SealedBlob::from_bytes(ctx.inputs().to_vec());
-                let _ = store.unseal(ctx, &old)?;
-                let blob = store.seal(ctx, data)?;
-                ctx.write_output(blob.as_bytes())
-            }
-            StoreAction::Read => {
-                let blob = SealedBlob::from_bytes(ctx.inputs().to_vec());
-                let data = store.unseal(ctx, &blob)?;
-                ctx.write_output(&data)
-            }
-        }
-    }
-}
-
-fn storage_session(os: &mut Os, action: StoreAction, inputs: Vec<u8>) -> Vec<u8> {
-    let slb = SlbImage::build(
-        PalPayload::Native {
-            identity: b"baseline-storage-pal".to_vec(),
-            program: Arc::new(StoragePal { action }),
-        },
-        SlbOptions::default(),
-    )
-    .expect("storage slb builds");
-    let rec =
-        run_session(os, &slb, &SessionParams::with_inputs(inputs)).expect("storage session runs");
-    rec.pal_result.clone().expect("storage pal succeeds");
-    rec.outputs
+    (0..iterations)
+        .map(|_| {
+            timed_iteration(trace, "app.ca", &mut os, |os| {
+                drivers::ca(os, "baseline.corp.example", &mut rng)
+            })
+        })
+        .collect()
 }
 
 fn run_storage(trace: &Trace, iterations: usize) -> Vec<Duration> {
     let mut os = eval_os(15);
     os.set_tracer(trace.clone());
-    let mut samples = Vec::with_capacity(iterations);
-    for _ in 0..iterations {
-        samples.push(timed_iteration(trace, "app.storage", &mut os, |os| {
-            let blob1 = storage_session(
-                os,
-                StoreAction::Init {
-                    data: b"state-v1".to_vec(),
-                },
-                Vec::new(),
-            );
-            let blob2 = storage_session(
-                os,
-                StoreAction::Update {
-                    data: b"state-v2".to_vec(),
-                },
-                blob1,
-            );
-            let out = storage_session(os, StoreAction::Read, blob2);
-            assert_eq!(out, b"state-v2", "storage read-back");
-        }));
-    }
-    samples
+    (0..iterations)
+        .map(|_| {
+            timed_iteration(trace, "app.storage", &mut os, |os| {
+                drivers::storage(os, STORAGE_PAL, BASELINE_NV_INDEX, &mut None)
+            })
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -465,8 +347,8 @@ pub fn validate(doc: &Value) -> Result<u64, String> {
             "full baseline covers only {sessions} sessions (need {MIN_FULL_SESSIONS})"
         ));
     }
-    for app in APPS {
-        check_stats(doc, "apps", app)?;
+    for app in AppKind::ALL {
+        check_stats(doc, "apps", app.name())?;
     }
     for phase in PHASE_SPAN_NAMES {
         let count = check_stats(doc, "phases", phase)?;

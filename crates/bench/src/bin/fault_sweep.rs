@@ -11,7 +11,8 @@
 //! Usage: `fault_sweep [--seed N] [--schedules N] [--quick]`; an argument
 //! error prints that line and exits 2.
 
-use flicker_bench::faultsweep::{run_sweep, Outcome, APPS};
+use flicker_apps::AppKind;
+use flicker_bench::faultsweep::{run_sweep, Outcome};
 use flicker_bench::render_table;
 use std::io::Write as _;
 use std::path::Path;
@@ -46,10 +47,10 @@ fn main() -> ExitCode {
 
     let report = run_sweep(base_seed, schedules);
 
-    let rows: Vec<Vec<String>> = APPS
+    let rows: Vec<Vec<String>> = AppKind::ALL
         .iter()
         .map(|app| {
-            let of_app = report.results.iter().filter(|r| r.app == *app);
+            let of_app = report.results.iter().filter(|r| r.app == app.name());
             let (mut survived, mut recovered, mut violations, mut faults) =
                 (0u64, 0u64, 0u64, 0u64);
             for r in of_app {
@@ -61,7 +62,7 @@ fn main() -> ExitCode {
                 faults += r.faults.total();
             }
             vec![
-                app.to_string(),
+                app.name().to_string(),
                 survived.to_string(),
                 recovered.to_string(),
                 violations.to_string(),

@@ -17,34 +17,21 @@
 //!
 //! A correct implementation produces zero violations for every seed.
 
-use flicker_apps::{
-    known_good_hash, Administrator, BoincClient, Csr, FlickerCa, IssuancePolicy, PasswdEntry,
-    SshClient, SshServer, WorkUnit,
-};
-use flicker_core::{
-    run_session, FlickerResult, NativePal, PalContext, PalPayload, ReplayProtectedStorage,
-    SessionParams, SlbImage, SlbOptions,
-};
+use flicker_apps::drivers::{self, StoreAction};
+use flicker_apps::{known_good_hash, Administrator, AppKind, SshClient};
 use flicker_crypto::rng::XorShiftRng;
-use flicker_crypto::{RsaPrivateKey, RsaPublicKey};
 use flicker_faults::{FaultCounts, FaultInjector, FaultPlan};
-use flicker_os::{NetLink, Os, OsConfig};
-use flicker_tpm::{AikCertificate, PrivacyCa, SealedBlob};
+use flicker_os::{NetLink, Os};
 use flicker_trace::{audit, Event, Trace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::time::Duration;
-
-/// The applications the sweep rotates through, by `seed % 5`. The last is
-/// a replay-protected-storage workload — the only one that writes TPM NV,
-/// so it is what torn-NV-write faults exercise.
-pub const APPS: [&str; 5] = ["rootkit", "ssh", "distcomp", "ca", "storage"];
 
 /// The SSH trial's password: a recognisable byte string that must never
 /// appear in simulated RAM after a session, faulted or not.
 const SSH_PASSWORD: &[u8] = b"SWEEP-SECRET-hunter2";
 
-/// NV index for the storage trial (distinct from any test's).
+/// The storage trial's PAL identity and NV index (distinct from any
+/// test's).
+const STORAGE_PAL: &[u8] = b"sweep-storage-pal";
 const SWEEP_NV_INDEX: u32 = 0x0001_4000;
 
 /// How one schedule ended.
@@ -64,7 +51,7 @@ pub enum Outcome {
 pub struct ScheduleResult {
     /// The schedule's fault-plan seed.
     pub seed: u64,
-    /// Which application scenario ran.
+    /// Which application ran ([`AppKind::name`]).
     pub app: &'static str,
     /// How the schedule ended.
     pub outcome: Outcome,
@@ -120,8 +107,8 @@ pub fn run_sweep(base_seed: u64, schedules: u64) -> SweepReport {
 /// Runs one seeded schedule: provision, arm faults, drive the app, then
 /// classify against the recovery contract.
 pub fn run_schedule(seed: u64) -> ScheduleResult {
-    let app = APPS[(seed % APPS.len() as u64) as usize];
-    let mut os = Os::boot(OsConfig::fast_for_tests((seed % 211) as u8 + 1));
+    let app = AppKind::from_seed(seed);
+    let mut os = drivers::boot(seed);
     let mut link = NetLink::paper_verifier_link(seed);
     // Every schedule flies with the recorder on: after classification the
     // event stream is replayed through the paper-invariant auditor, and on
@@ -133,20 +120,9 @@ pub fn run_schedule(seed: u64) -> ScheduleResult {
 
     // Provisioning (Privacy-CA interaction, AIK certification) is
     // manufacture-time setup, not the protocol under test: it happens
-    // before the faults are armed.
-    let attested = matches!(app, "rootkit" | "ssh");
-    let (cert, ca_public) = if attested {
-        let mut rng = XorShiftRng::new(seed.wrapping_add(9_000));
-        let mut pca = PrivacyCa::new(512, &mut rng);
-        os.provision_attestation(&mut pca, "sweep-host")
-            .expect("fault-free provisioning");
-        (
-            Some(os.aik_certificate().expect("just provisioned").clone()),
-            Some(pca.public_key().clone()),
-        )
-    } else {
-        (None, None)
-    };
+    // before the faults are armed, and only for the attested apps.
+    let provisioned = matches!(app, AppKind::Rootkit | AppKind::Ssh)
+        .then(|| drivers::provision(&mut os, seed, "sweep-host"));
 
     let inj = FaultInjector::new(&FaultPlan::seeded(seed));
     os.machine_mut().set_fault_injector(inj.clone());
@@ -156,24 +132,33 @@ pub fn run_schedule(seed: u64) -> ScheduleResult {
     // (reached the untrusted OS), with the data it should decrypt to.
     let mut last_blob: Option<(Vec<u8>, Vec<u8>)> = None;
 
-    let trial = catch_unwind(AssertUnwindSafe(|| match app {
-        "rootkit" => rootkit_trial(
-            &mut os,
-            link,
-            cert.as_ref().expect("provisioned"),
-            ca_public.clone().expect("provisioned"),
-            seed,
-        ),
-        "ssh" => ssh_trial(
+    let trial = catch_unwind(AssertUnwindSafe(|| match (app, provisioned) {
+        // Alternate between the native detector and the statically
+        // verified bytecode one, so the sweep also drives verified PalVM
+        // sessions with faults armed (`classify` escalates any VM safety
+        // fault).
+        (AppKind::Rootkit, Some((cert, ca_public))) => {
+            let mut admin = Administrator::new(ca_public, known_good_hash(&os), link);
+            drivers::rootkit(&mut os, &mut admin, &cert, !seed.is_multiple_of(2))
+        }
+        (AppKind::Ssh, Some((cert, ca_public))) => drivers::ssh(
             &mut os,
             &mut link,
-            seed,
-            cert.as_ref().expect("provisioned"),
-            ca_public.clone().expect("provisioned"),
+            &mut SshClient::new(ca_public),
+            &cert,
+            SSH_PASSWORD,
+            &mut XorShiftRng::new(seed.wrapping_add(4_000)),
         ),
-        "distcomp" => distcomp_trial(&mut os),
-        "ca" => ca_trial(&mut os, seed),
-        _ => storage_trial(&mut os, &mut last_blob),
+        (AppKind::Distcomp, _) => drivers::distcomp(&mut os),
+        (AppKind::Ca, _) => drivers::ca(
+            &mut os,
+            "sweep.corp.example",
+            &mut XorShiftRng::new(seed.wrapping_add(5_000)),
+        ),
+        (AppKind::Storage, _) => {
+            drivers::storage(&mut os, STORAGE_PAL, SWEEP_NV_INDEX, &mut last_blob)
+        }
+        (AppKind::Rootkit | AppKind::Ssh, None) => unreachable!("attested apps are provisioned"),
     }));
 
     let faults = inj.counts();
@@ -233,7 +218,7 @@ pub fn run_schedule(seed: u64) -> ScheduleResult {
     };
     ScheduleResult {
         seed,
-        app,
+        app: app.name(),
         outcome,
         faults,
         flight_record,
@@ -250,14 +235,23 @@ fn classify(
         return Outcome::Violation(v);
     }
     // Disarmed follow-up: the platform must still run Flicker sessions.
-    if let Err(v) = probe_session(os) {
+    if let Err(v) = drivers::probe(os) {
         return Outcome::Violation(format!("disarmed follow-up failed: {v}"));
     }
     // And any storage blob that escaped before the fault must still
-    // unseal — a permanent ReplayDetected here is the §4.3.2 desync.
+    // unseal to its data. `ReplayDetected` here means the counter outran
+    // every surviving ciphertext — the §4.3.2 desync the two-slot
+    // lazy-commit protocol exists to prevent.
     if let Some((blob, expect)) = last_blob {
-        if let Err(v) = storage_read(os, blob, expect) {
-            return Outcome::Violation(format!("permanent storage loss: {v}"));
+        let read = StoreAction::Read;
+        match drivers::storage_session(os, STORAGE_PAL, SWEEP_NV_INDEX, read, blob.clone()) {
+            Ok(out) if out == *expect => {}
+            Ok(_) => {
+                return Outcome::Violation(
+                    "permanent storage loss: wrong data after recovery".into(),
+                )
+            }
+            Err(v) => return Outcome::Violation(format!("permanent storage loss: {v}")),
         }
     }
     match result {
@@ -291,211 +285,6 @@ fn platform_invariants(os: &Os) -> Result<(), String> {
     let ram = mem.read(0, mem.size()).map_err(|e| format!("{e:?}"))?;
     if ram.windows(SSH_PASSWORD.len()).any(|w| w == SSH_PASSWORD) {
         return Err("secret password residue in RAM".into());
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Trials. Each returns Ok(()) only for a fully correct protocol run.
-// ---------------------------------------------------------------------------
-
-fn rootkit_trial(
-    os: &mut Os,
-    link: NetLink,
-    cert: &AikCertificate,
-    ca_public: RsaPublicKey,
-    seed: u64,
-) -> Result<(), String> {
-    let known_good = known_good_hash(os);
-    let mut admin = Administrator::new(ca_public, known_good, link);
-    // Alternate between the native detector and the statically verified
-    // bytecode one, so the sweep also drives verified PalVM sessions with
-    // faults armed (`classify` escalates any VM safety fault).
-    let report = if seed.is_multiple_of(2) {
-        admin.query(os, cert).map_err(|e| e.to_string())?
-    } else {
-        admin.query_bytecode(os, cert).map_err(|e| e.to_string())?
-    };
-    if !report.clean {
-        return Err("pristine kernel reported compromised".into());
-    }
-    Ok(())
-}
-
-fn ssh_trial(
-    os: &mut Os,
-    link: &mut NetLink,
-    seed: u64,
-    cert: &AikCertificate,
-    ca_public: RsaPublicKey,
-) -> Result<(), String> {
-    let mut server = SshServer::new(vec![PasswdEntry::new("alice", SSH_PASSWORD, b"fl1ck3r")]);
-    let mut client = SshClient::new(ca_public);
-
-    let attestation_nonce = [0x55; 20];
-    let transcript = server
-        .connection_setup(os, link, attestation_nonce)
-        .map_err(|e| e.to_string())?;
-    client
-        .verify_setup(cert, &transcript)
-        .map_err(|e| e.to_string())?;
-
-    let nonce = server.issue_nonce();
-    let mut rng = XorShiftRng::new(seed.wrapping_add(4_000));
-    let ciphertext = client
-        .encrypt_password(SSH_PASSWORD, &nonce, &mut rng)
-        .map_err(|e| e.to_string())?;
-    let outcome = server
-        .login(os, link, "alice", &ciphertext, nonce)
-        .map_err(|e| e.to_string())?;
-    if !outcome.accepted {
-        return Err("correct password rejected".into());
-    }
-    Ok(())
-}
-
-fn distcomp_trial(os: &mut Os) -> Result<(), String> {
-    let unit = WorkUnit {
-        n: 91,
-        lo: 2,
-        hi: 64,
-    };
-    let (mut client, _) = BoincClient::start(os, unit).map_err(|e| e.to_string())?;
-    client
-        .run_slice(os, Duration::from_millis(50))
-        .map_err(|e| e.to_string())?;
-    Ok(())
-}
-
-fn ca_trial(os: &mut Os, seed: u64) -> Result<(), String> {
-    let policy = IssuancePolicy {
-        allowed_suffixes: vec![".corp.example".into()],
-        max_certificates: 8,
-    };
-    let (mut ca, _) = FlickerCa::init(os, policy).map_err(|e| e.to_string())?;
-    let mut rng = XorShiftRng::new(seed.wrapping_add(5_000));
-    let (subject_key, _) = RsaPrivateKey::generate(512, &mut rng);
-    let csr = Csr {
-        subject: "sweep.corp.example".into(),
-        public_key: subject_key.public_key().clone(),
-    };
-    let report = ca.sign(os, &csr).map_err(|e| e.to_string())?;
-    report
-        .certificate
-        .verify(&ca.public_key)
-        .map_err(|e| e.to_string())?;
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// The storage trial: a PAL with replay-protected state (§4.3.2), the one
-// workload whose NV-counter writes the torn-write fault can hit.
-// ---------------------------------------------------------------------------
-
-enum StoreAction {
-    /// Define the counter space and seal the first version.
-    Init { data: Vec<u8> },
-    /// Unseal (input blob), reseal new data.
-    Update { data: Vec<u8> },
-    /// Unseal (input blob) and emit the data.
-    Read,
-}
-
-struct StoragePal {
-    action: StoreAction,
-}
-
-impl NativePal for StoragePal {
-    fn run(&self, ctx: &mut PalContext<'_>) -> FlickerResult<()> {
-        let store = ReplayProtectedStorage::new(SWEEP_NV_INDEX);
-        match &self.action {
-            StoreAction::Init { data } => {
-                store.setup(ctx, &[0u8; 20])?;
-                let blob = store.seal(ctx, data)?;
-                ctx.write_output(blob.as_bytes())
-            }
-            StoreAction::Update { data } => {
-                let old = SealedBlob::from_bytes(ctx.inputs().to_vec());
-                let _ = store.unseal(ctx, &old)?;
-                let blob = store.seal(ctx, data)?;
-                ctx.write_output(blob.as_bytes())
-            }
-            StoreAction::Read => {
-                let blob = SealedBlob::from_bytes(ctx.inputs().to_vec());
-                let data = store.unseal(ctx, &blob)?;
-                ctx.write_output(&data)
-            }
-        }
-    }
-}
-
-fn storage_session(os: &mut Os, action: StoreAction, inputs: Vec<u8>) -> Result<Vec<u8>, String> {
-    // The same identity for every action: the NV space is gated on the
-    // PAL's PCR 17 value, which only an identical measurement reproduces.
-    let slb = SlbImage::build(
-        PalPayload::Native {
-            identity: b"sweep-storage-pal".to_vec(),
-            program: Arc::new(StoragePal { action }),
-        },
-        SlbOptions::default(),
-    )
-    .map_err(|e| e.to_string())?;
-    let rec =
-        run_session(os, &slb, &SessionParams::with_inputs(inputs)).map_err(|e| e.to_string())?;
-    rec.pal_result.clone().map_err(|e| format!("pal: {e}"))?;
-    Ok(rec.outputs)
-}
-
-fn storage_trial(os: &mut Os, last: &mut Option<(Vec<u8>, Vec<u8>)>) -> Result<(), String> {
-    let blob1 = storage_session(
-        os,
-        StoreAction::Init {
-            data: b"state-v1".to_vec(),
-        },
-        Vec::new(),
-    )?;
-    *last = Some((blob1.clone(), b"state-v1".to_vec()));
-
-    let blob2 = storage_session(
-        os,
-        StoreAction::Update {
-            data: b"state-v2".to_vec(),
-        },
-        blob1,
-    )?;
-    *last = Some((blob2.clone(), b"state-v2".to_vec()));
-
-    let out = storage_session(os, StoreAction::Read, blob2)?;
-    if out != b"state-v2" {
-        return Err("read returned wrong data".into());
-    }
-    Ok(())
-}
-
-/// Disarmed recovery read: the given blob must still unseal to the
-/// expected data. `ReplayDetected` here means the counter outran every
-/// surviving ciphertext — the exact desync the two-slot lazy-commit
-/// protocol exists to prevent.
-fn storage_read(os: &mut Os, blob: &[u8], expect: &[u8]) -> Result<(), String> {
-    let out = storage_session(os, StoreAction::Read, blob.to_vec())?;
-    if out != expect {
-        return Err("wrong data after recovery".into());
-    }
-    Ok(())
-}
-
-/// Disarmed follow-up: a trivial session that must succeed on any
-/// recovered platform.
-fn probe_session(os: &mut Os) -> Result<(), String> {
-    let slb = SlbImage::build(
-        PalPayload::Bytecode(flicker_palvm::progs::hello_world()),
-        SlbOptions::default(),
-    )
-    .map_err(|e| e.to_string())?;
-    let rec = run_session(os, &slb, &SessionParams::default()).map_err(|e| e.to_string())?;
-    rec.pal_result.clone().map_err(|e| format!("pal: {e}"))?;
-    if rec.outputs != b"Hello, world" {
-        return Err("probe outputs wrong".into());
     }
     Ok(())
 }

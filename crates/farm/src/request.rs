@@ -6,6 +6,7 @@
 //! what [`FarmReport::verify_conservation`](crate::FarmReport::verify_conservation)
 //! checks and what the recovery tests prove under fault sweeps.
 
+pub use flicker_apps::AppKind;
 use flicker_faults::FaultPlan;
 use std::time::Duration;
 
@@ -59,49 +60,6 @@ pub const NO_MACHINE: u64 = u64::MAX;
 /// `request` field value for farm events about a machine rather than any
 /// request (probe/readmitted).
 pub const NO_REQUEST: u64 = u64::MAX;
-
-/// Which §6 application protocol a request drives (the same five the
-/// fault sweep rotates through).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AppKind {
-    /// Remote rootkit detection (kernel hash + attestation).
-    Rootkit,
-    /// SSH password handling with attested setup.
-    Ssh,
-    /// Distributed-computing work slice (BOINC-style).
-    Distcomp,
-    /// Certificate authority signing inside a PAL.
-    Ca,
-    /// Replay-protected sealed storage (init → update → read).
-    Storage,
-}
-
-impl AppKind {
-    /// All kinds, in the sweep's rotation order.
-    pub const ALL: [AppKind; 5] = [
-        AppKind::Rootkit,
-        AppKind::Ssh,
-        AppKind::Distcomp,
-        AppKind::Ca,
-        AppKind::Storage,
-    ];
-
-    /// Deterministic rotation, mirroring the fault sweep's `seed % 5`.
-    pub fn from_seed(seed: u64) -> Self {
-        Self::ALL[(seed % Self::ALL.len() as u64) as usize]
-    }
-
-    /// Short stable name (matches the sweep's `APPS` spelling).
-    pub fn name(self) -> &'static str {
-        match self {
-            AppKind::Rootkit => "rootkit",
-            AppKind::Ssh => "ssh",
-            AppKind::Distcomp => "distcomp",
-            AppKind::Ca => "ca",
-            AppKind::Storage => "storage",
-        }
-    }
-}
 
 /// What a client submits: the protocol to run and the fault schedule the
 /// platform will be armed with for its first attempt.
@@ -178,16 +136,6 @@ pub struct RequestOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seed_rotation_matches_sweep_order() {
-        assert_eq!(AppKind::from_seed(0), AppKind::Rootkit);
-        assert_eq!(AppKind::from_seed(1), AppKind::Ssh);
-        assert_eq!(AppKind::from_seed(2), AppKind::Distcomp);
-        assert_eq!(AppKind::from_seed(3), AppKind::Ca);
-        assert_eq!(AppKind::from_seed(4), AppKind::Storage);
-        assert_eq!(AppKind::from_seed(5), AppKind::Rootkit);
-    }
 
     #[test]
     fn seeded_spec_is_deterministic() {

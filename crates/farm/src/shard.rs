@@ -1,5 +1,5 @@
-//! A farm shard: one self-contained simulated platform plus the workload
-//! drivers that run the §6 application protocols on it.
+//! A farm shard: one self-contained simulated platform that runs the §6
+//! application protocols through the shared [`flicker_apps::drivers`].
 //!
 //! Each shard owns everything it needs — machine, TPM, OS, its own virtual
 //! clock, its own flight recorder, its own provisioned AIK — and shares no
@@ -13,25 +13,20 @@
 
 use crate::health::CircuitBreaker;
 use crate::request::{actions, AppKind};
-use flicker_apps::{
-    known_good_hash, Administrator, BoincClient, Csr, FlickerCa, IssuancePolicy, PasswdEntry,
-    SshClient, SshServer, WorkUnit,
-};
-use flicker_core::{
-    run_session, FlickerResult, NativePal, PalContext, PalPayload, ReplayProtectedStorage,
-    SessionParams, SlbImage, SlbOptions,
-};
+use flicker_apps::{drivers, known_good_hash, Administrator, SshClient};
 use flicker_crypto::rng::XorShiftRng;
-use flicker_crypto::{RsaPrivateKey, RsaPublicKey};
+use flicker_crypto::RsaPublicKey;
 use flicker_faults::FaultInjector;
 use flicker_machine::SimClock;
-use flicker_os::{NetLink, Os, OsConfig};
-use flicker_tpm::{AikCertificate, PrivacyCa, SealedBlob};
+use flicker_os::{NetLink, Os};
+use flicker_tpm::AikCertificate;
 use flicker_trace::attribution::categories;
 use flicker_trace::{EventKind, RequestCtx, Trace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::Duration;
+
+/// The storage workload's PAL identity.
+const STORAGE_PAL: &[u8] = b"farm-storage-pal";
 
 /// NV index the farm's storage workload roots its counter at (distinct
 /// from the fault sweep's `0x0001_4000` and the perf baseline's
@@ -66,20 +61,16 @@ impl Shard {
     /// before any fault plan is armed, exactly as in the fault sweep.
     pub fn new(id: u64, base_seed: u64) -> Self {
         let seed = base_seed.wrapping_add(id);
-        let mut os = Os::boot(OsConfig::fast_for_tests((seed % 211) as u8 + 1));
+        let mut os = drivers::boot(seed);
         let trace = Trace::new();
         os.set_tracer(trace.clone());
-        let mut rng = XorShiftRng::new(seed.wrapping_add(9_000));
-        let mut pca = PrivacyCa::new(512, &mut rng);
-        os.provision_attestation(&mut pca, "farm-host")
-            .expect("fault-free provisioning");
-        let cert = os.aik_certificate().expect("just provisioned").clone();
+        let (cert, ca_public) = drivers::provision(&mut os, seed, "farm-host");
         Shard {
             id,
             known_good: known_good_hash(&os),
             os,
             cert,
-            ca_public: pca.public_key().clone(),
+            ca_public,
             trace,
             breaker: CircuitBreaker::new(u32::MAX),
             completed: 0,
@@ -189,11 +180,32 @@ impl Shard {
     /// must survive anything a workload does.
     pub fn run_attempt(&mut self, app: AppKind, seed: u64) -> Result<(), String> {
         let trial = catch_unwind(AssertUnwindSafe(|| match app {
-            AppKind::Rootkit => self.rootkit(seed),
-            AppKind::Ssh => self.ssh(seed),
-            AppKind::Distcomp => self.distcomp(),
-            AppKind::Ca => self.ca(seed),
-            AppKind::Storage => self.storage(),
+            AppKind::Rootkit => {
+                let link = self.link(seed);
+                let mut admin = Administrator::new(self.ca_public.clone(), self.known_good, link);
+                let bytecode = !seed.is_multiple_of(2);
+                drivers::rootkit(&mut self.os, &mut admin, &self.cert, bytecode)
+            }
+            AppKind::Ssh => {
+                let mut link = self.link(seed);
+                drivers::ssh(
+                    &mut self.os,
+                    &mut link,
+                    &mut SshClient::new(self.ca_public.clone()),
+                    &self.cert,
+                    FARM_SSH_PASSWORD,
+                    &mut XorShiftRng::new(seed.wrapping_add(4_000)),
+                )
+            }
+            AppKind::Distcomp => drivers::distcomp(&mut self.os),
+            AppKind::Ca => drivers::ca(
+                &mut self.os,
+                "farm.corp.example",
+                &mut XorShiftRng::new(seed.wrapping_add(5_000)),
+            ),
+            AppKind::Storage => {
+                drivers::storage(&mut self.os, STORAGE_PAL, FARM_NV_INDEX, &mut None)
+            }
         }));
         let result = match trial {
             Ok(r) => r,
@@ -223,18 +235,7 @@ impl Shard {
         if self.power_lost() {
             self.reboot();
         }
-        let slb = SlbImage::build(
-            PalPayload::Bytecode(flicker_palvm::progs::hello_world()),
-            SlbOptions::default(),
-        )
-        .map_err(|e| e.to_string())?;
-        let rec = run_session(&mut self.os, &slb, &SessionParams::default())
-            .map_err(|e| e.to_string())?;
-        rec.pal_result.clone().map_err(|e| format!("pal: {e}"))?;
-        if rec.outputs != b"Hello, world" {
-            return Err("probe outputs wrong".into());
-        }
-        Ok(())
+        drivers::probe(&mut self.os)
     }
 
     /// A verifier link seeded per request, wired to this shard's clock,
@@ -248,157 +249,6 @@ impl Shard {
             link.set_fault_injector(inj.clone());
         }
         link
-    }
-
-    // ----- the five §6 workloads (sweep-equivalent, self-contained) -------
-
-    fn rootkit(&mut self, seed: u64) -> Result<(), String> {
-        let link = self.link(seed);
-        let mut admin = Administrator::new(self.ca_public.clone(), self.known_good, link);
-        let report = if seed.is_multiple_of(2) {
-            admin.query(&mut self.os, &self.cert)
-        } else {
-            admin.query_bytecode(&mut self.os, &self.cert)
-        }
-        .map_err(|e| e.to_string())?;
-        if !report.clean {
-            return Err("pristine kernel reported compromised".into());
-        }
-        Ok(())
-    }
-
-    fn ssh(&mut self, seed: u64) -> Result<(), String> {
-        let mut link = self.link(seed);
-        let mut server = SshServer::new(vec![PasswdEntry::new(
-            "alice",
-            FARM_SSH_PASSWORD,
-            b"fl1ck3r",
-        )]);
-        let mut client = SshClient::new(self.ca_public.clone());
-        let attestation_nonce = [0x55; 20];
-        let transcript = server
-            .connection_setup(&mut self.os, &mut link, attestation_nonce)
-            .map_err(|e| e.to_string())?;
-        client
-            .verify_setup(&self.cert, &transcript)
-            .map_err(|e| e.to_string())?;
-        let nonce = server.issue_nonce();
-        let mut rng = XorShiftRng::new(seed.wrapping_add(4_000));
-        let ciphertext = client
-            .encrypt_password(FARM_SSH_PASSWORD, &nonce, &mut rng)
-            .map_err(|e| e.to_string())?;
-        let outcome = server
-            .login(&mut self.os, &mut link, "alice", &ciphertext, nonce)
-            .map_err(|e| e.to_string())?;
-        if !outcome.accepted {
-            return Err("correct password rejected".into());
-        }
-        Ok(())
-    }
-
-    fn distcomp(&mut self) -> Result<(), String> {
-        let unit = WorkUnit {
-            n: 91,
-            lo: 2,
-            hi: 64,
-        };
-        let (mut client, _) = BoincClient::start(&mut self.os, unit).map_err(|e| e.to_string())?;
-        client
-            .run_slice(&mut self.os, Duration::from_millis(50))
-            .map_err(|e| e.to_string())?;
-        Ok(())
-    }
-
-    fn ca(&mut self, seed: u64) -> Result<(), String> {
-        let policy = IssuancePolicy {
-            allowed_suffixes: vec![".corp.example".into()],
-            max_certificates: 8,
-        };
-        let (mut ca, _) = FlickerCa::init(&mut self.os, policy).map_err(|e| e.to_string())?;
-        let mut rng = XorShiftRng::new(seed.wrapping_add(5_000));
-        let (subject_key, _) = RsaPrivateKey::generate(512, &mut rng);
-        let csr = Csr {
-            subject: "farm.corp.example".into(),
-            public_key: subject_key.public_key().clone(),
-        };
-        let report = ca.sign(&mut self.os, &csr).map_err(|e| e.to_string())?;
-        report
-            .certificate
-            .verify(&ca.public_key)
-            .map_err(|e| e.to_string())?;
-        Ok(())
-    }
-
-    fn storage(&mut self) -> Result<(), String> {
-        // Init redefines the NV space, so the chain is idempotent: a retry
-        // after a mid-chain fault restarts cleanly, and many storage
-        // requests can share one machine.
-        let blob1 = self.storage_session(
-            StoreAction::Init {
-                data: b"state-v1".to_vec(),
-            },
-            Vec::new(),
-        )?;
-        let blob2 = self.storage_session(
-            StoreAction::Update {
-                data: b"state-v2".to_vec(),
-            },
-            blob1,
-        )?;
-        let out = self.storage_session(StoreAction::Read, blob2)?;
-        if out != b"state-v2" {
-            return Err("read returned wrong data".into());
-        }
-        Ok(())
-    }
-
-    fn storage_session(&mut self, action: StoreAction, inputs: Vec<u8>) -> Result<Vec<u8>, String> {
-        let slb = SlbImage::build(
-            PalPayload::Native {
-                identity: b"farm-storage-pal".to_vec(),
-                program: Arc::new(StoragePal { action }),
-            },
-            SlbOptions::default(),
-        )
-        .map_err(|e| e.to_string())?;
-        let rec = run_session(&mut self.os, &slb, &SessionParams::with_inputs(inputs))
-            .map_err(|e| e.to_string())?;
-        rec.pal_result.clone().map_err(|e| format!("pal: {e}"))?;
-        Ok(rec.outputs)
-    }
-}
-
-enum StoreAction {
-    Init { data: Vec<u8> },
-    Update { data: Vec<u8> },
-    Read,
-}
-
-struct StoragePal {
-    action: StoreAction,
-}
-
-impl NativePal for StoragePal {
-    fn run(&self, ctx: &mut PalContext<'_>) -> FlickerResult<()> {
-        let store = ReplayProtectedStorage::new(FARM_NV_INDEX);
-        match &self.action {
-            StoreAction::Init { data } => {
-                store.setup(ctx, &[0u8; 20])?;
-                let blob = store.seal(ctx, data)?;
-                ctx.write_output(blob.as_bytes())
-            }
-            StoreAction::Update { data } => {
-                let old = SealedBlob::from_bytes(ctx.inputs().to_vec());
-                let _ = store.unseal(ctx, &old)?;
-                let blob = store.seal(ctx, data)?;
-                ctx.write_output(blob.as_bytes())
-            }
-            StoreAction::Read => {
-                let blob = SealedBlob::from_bytes(ctx.inputs().to_vec());
-                let data = store.unseal(ctx, &blob)?;
-                ctx.write_output(&data)
-            }
-        }
     }
 }
 
