@@ -2,7 +2,8 @@
 //!
 //! Each schedule derives a [`FaultPlan`] from its seed, arms a fresh
 //! platform (machine, TPM, network link) with the injector, and drives one
-//! application through its normal protocol. The contract under test:
+//! application through its normal protocol, run by the shared
+//! [`flicker_apps::drivers`]. The contract under test:
 //!
 //! * **Survived** — the protocol completed with *correct* results despite
 //!   the injected faults (retries absorbed them).
